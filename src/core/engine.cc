@@ -1369,10 +1369,9 @@ std::vector<Result<ExecutionResult>> Engine::ExecuteBatch(
     }
     // Phase 2 — group fusable plans by (view, shape). All plans were
     // computed under this reader hold, so they share one generation.
-    const query::FusionOptions& fusion = options_.executor.fusion;
     std::vector<bool> in_group(query_texts.size(), false);
     std::vector<std::function<void()>> tasks;
-    if (fusion.enabled) {
+    if (options_.executor.fusion.enabled) {
       std::unordered_map<std::string, std::vector<size_t>> shape_groups;
       for (size_t i = 0; i < plans.size(); ++i) {
         if (!plans[i].has_value() || plans[i]->shape_key.empty() ||
@@ -1384,9 +1383,8 @@ std::vector<Result<ExecutionResult>> Engine::ExecuteBatch(
         key += plans[i]->shape_key;
         shape_groups[key].push_back(i);
       }
-      const size_t min_group = std::max<size_t>(2, fusion.min_group_size);
       for (auto& [key, indices] : shape_groups) {
-        if (indices.size() < min_group) continue;
+        if (indices.size() < 2) continue;
         for (size_t i : indices) in_group[i] = true;
         tasks.push_back(
             [this, &plans, &slots, deadline, group = std::move(indices)] {

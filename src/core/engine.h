@@ -588,9 +588,9 @@ class Engine {
 
   /// Executes a batch of queries and returns results in input order,
   /// identical to sequential `Execute`. The batch is planned up front,
-  /// grouped by plan shape (same-shape groups of at least
-  /// `ExecutorOptions::fusion.min_group_size` run as one fused
-  /// traversal; everything else runs solo), and the resulting tasks are
+  /// grouped by plan shape (with `ExecutorOptions::fusion.enabled`,
+  /// same-shape groups of two or more run as one fused traversal;
+  /// everything else runs solo), and the resulting tasks are
   /// spread across the persistent batch pool (`batch_workers` wide) with
   /// the calling thread participating. Reader — the caller holds the
   /// shared lock for the whole batch; pool workers run under its hold.

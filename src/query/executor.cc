@@ -1,44 +1,37 @@
 #include "query/executor.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <memory>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
+#include "query/fused_runner.h"
 #include "query/match_common.h"
 #include "query/parser.h"
 
 namespace kaskade::query {
 
-using graph::CsrGraph;
 using graph::EdgeId;
-using graph::EdgeSpan;
 using graph::EdgeTypeId;
 using graph::PropertyGraph;
 using graph::PropertyValue;
 using graph::VertexId;
-using graph::VertexTypeId;
 
 using internal::CancelGuard;
-using internal::CsrTraversal;
 using internal::NodeAccepts;
 using internal::ResolvedMatch;
 using internal::ResolvedPattern;
 using internal::ResolveMatch;
-using internal::RowSet;
 using internal::Step;
-using internal::StepScratch;
 
 namespace {
 
 // ---------------------------------------------------------------------------
 // Legacy MATCH backend: backtracking over PropertyGraph adjacency lists.
 // Kept structurally intact as the semantic oracle (and the bench
-// baseline) for the CSR backend below.
+// baseline) for the CSR backend (query/fused_runner.cc), and as the
+// path taken when no snapshot is attached.
 // ---------------------------------------------------------------------------
 
 /// \brief Backtracking pattern matcher with set-semantics projection.
@@ -259,482 +252,6 @@ class MatchEvaluator {
 };
 
 // ---------------------------------------------------------------------------
-// CSR MATCH backend
-// ---------------------------------------------------------------------------
-
-/// \brief One backtracking worker over a CSR snapshot: owns the binding,
-/// the traversal primitives (epoch-stamped visited arrays), the per-step
-/// candidate buffers, and its (partial) distinct-row table. Inner loops
-/// allocate nothing after warmup.
-class CsrMatchRunner {
- public:
-  /// `direct_table`, when set (sequential mode), receives each new
-  /// distinct row as it is emitted, so no second pass over the row set
-  /// is needed. Parallel workers leave it null — their rows merge into
-  /// the final table in block order after the join.
-  ///
-  /// `deadline` (time_point{} = none) and `abort` feed the runner's
-  /// CancelGuard: a parallel worker shares `abort` with its siblings so
-  /// the first stop reason (row limit, deadline) cancels the whole run.
-  CsrMatchRunner(const PropertyGraph& graph, const CsrGraph& csr,
-                 const ResolvedMatch& rm, size_t max_rows,
-                 CancelGuard::Clock::time_point deadline,
-                 std::atomic<bool>* abort, Table* direct_table = nullptr)
-      : graph_(graph),
-        csr_(csr),
-        rm_(rm),
-        max_rows_(max_rows),
-        guard_(deadline, abort),
-        direct_table_(direct_table),
-        traversal_(csr),
-        rows_(rm.return_slots.size()) {
-    binding_.assign(rm.pattern.nodes.size(), graph::kInvalidId);
-    scratch_.resize(rm.plan.size());
-    row_buf_.assign(std::max<size_t>(1, rm.return_slots.size()), 0);
-    traversal_.set_guard(&guard_);
-  }
-
-  /// Runs the plan for top-level seed candidates `seeds[begin, end)`
-  /// (the first plan step is always a seed). Emitted rows accumulate in
-  /// `rows()` in enumeration order.
-  Status RunSeedRange(const std::vector<VertexId>& seeds, size_t begin,
-                      size_t end) {
-    const size_t slot = static_cast<size_t>(rm_.plan[0].node_slot);
-    for (size_t i = begin; i < end; ++i) {
-      if (guard_.Charge(1)) return StopStatus();
-      VertexId v = seeds[i];
-      ++expansions_;
-      if (!NodeAccepts(graph_, rm_.pattern, slot, v)) continue;
-      binding_[slot] = v;
-      Status st = Backtrack(1);
-      binding_[slot] = graph::kInvalidId;
-      if (!st.ok()) return st;
-    }
-    return Status::OK();
-  }
-
-  const RowSet& rows() const { return rows_; }
-  /// Candidates enumerated + filter-edge probes (see
-  /// `ExecutionTiming::expansions`).
-  uint64_t expansions() const { return expansions_; }
-  /// Clock/flag tests this runner's guard performed.
-  uint64_t deadline_checks() const { return guard_.checks(); }
-
- private:
-  /// Error to surface once the guard fires. A peer-cancelled worker
-  /// returns the sibling sentinel, which the parallel driver swaps for
-  /// the originating worker's real error.
-  Status StopStatus() const {
-    return guard_.expired() ? internal::DeadlineExceededError()
-                            : internal::CancelledBySiblingError();
-  }
-
-  Status EmitRow() {
-    if (guard_.Charge(1)) return StopStatus();
-    const size_t width = rm_.return_slots.size();
-    for (size_t k = 0; k < width; ++k) {
-      row_buf_[k] = binding_[rm_.return_slots[k]];
-    }
-    if (!rows_.Insert(row_buf_.data())) return Status::OK();
-    if (rows_.size() > max_rows_) {
-      return Status::ResourceExhausted("MATCH row limit exceeded");
-    }
-    if (direct_table_ != nullptr) {
-      Table::Row out;
-      out.reserve(width);
-      for (size_t k = 0; k < width; ++k) {
-        out.emplace_back(static_cast<int64_t>(row_buf_[k]));
-      }
-      direct_table_->AddRow(std::move(out));
-    }
-    return Status::OK();
-  }
-
-  Status Backtrack(size_t step_index) {
-    if (step_index == rm_.plan.size()) return EmitRow();
-    const Step& step = rm_.plan[step_index];
-    const ResolvedPattern& pattern = rm_.pattern;
-    if (step.kind == Step::kSeed) {
-      // Secondary seed (disconnected pattern component).
-      size_t slot = static_cast<size_t>(step.node_slot);
-      if (binding_[slot] != graph::kInvalidId) {
-        return Backtrack(step_index + 1);
-      }
-      const ResolvedPattern::Node& n = pattern.nodes[slot];
-      if (n.has_type_constraint) {
-        for (VertexId v : graph_.VerticesOfType(n.type)) {
-          ++expansions_;
-          if (guard_.Charge(1)) return StopStatus();
-          if (!NodeAccepts(graph_, pattern, slot, v)) continue;
-          binding_[slot] = v;
-          KASKADE_RETURN_IF_ERROR(Backtrack(step_index + 1));
-          binding_[slot] = graph::kInvalidId;
-        }
-      } else {
-        for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-          if (!graph_.IsVertexLive(v)) continue;
-          ++expansions_;
-          if (guard_.Charge(1)) return StopStatus();
-          if (!NodeAccepts(graph_, pattern, slot, v)) continue;
-          binding_[slot] = v;
-          KASKADE_RETURN_IF_ERROR(Backtrack(step_index + 1));
-          binding_[slot] = graph::kInvalidId;
-        }
-      }
-      return Status::OK();
-    }
-
-    const ResolvedPattern::Edge& edge = pattern.edges[step.edge_index];
-    VertexId from = binding_[edge.from];
-    VertexId to = binding_[edge.to];
-    bool from_bound = from != graph::kInvalidId;
-    bool to_bound = to != graph::kInvalidId;
-    StepScratch* scratch = &scratch_[step_index];
-
-    if (from_bound && to_bound) {
-      // Filter edge (closes a cycle).
-      ++expansions_;
-      if (guard_.Charge(1)) return StopStatus();
-      bool connected =
-          edge.variable_length
-              ? traversal_.VarLengthConnected(from, to, edge.type,
-                                              edge.min_hops, edge.max_hops,
-                                              scratch)
-              : traversal_.HasFixedEdge(from, to, edge.type);
-      if (guard_.stopped()) return StopStatus();
-      if (connected) return Backtrack(step_index + 1);
-      return Status::OK();
-    }
-
-    const bool forward = from_bound;  // else expand backward from `to`
-    size_t free_slot = forward ? edge.to : edge.from;
-    VertexId anchor = forward ? from : to;
-    const bool trivial = forward ? edge.trivial_forward : edge.trivial_backward;
-
-    if (!edge.variable_length && step_index + 1 == rm_.plan.size()) {
-      // Fused final expansion: the recursion below this step is just
-      // EmitRow, and the row set already deduplicates, so duplicate
-      // neighbors (parallel edges) need no expansion-level dedup —
-      // iterate the typed slice directly, no gather, no buffers.
-      // First-occurrence emission order is unchanged.
-      EdgeSpan span = forward ? csr_.TypedOutEdges(anchor, edge.type)
-                              : csr_.TypedInEdges(anchor, edge.type);
-      Status st = Status::OK();
-      expansions_ += span.size;
-      if (guard_.Charge(span.size)) return StopStatus();
-      for (size_t i = 0; i < span.size; ++i) {
-        VertexId v = span.vertices[i];
-        if (!trivial && !NodeAccepts(graph_, pattern, free_slot, v)) continue;
-        binding_[free_slot] = v;
-        st = EmitRow();
-        if (!st.ok()) break;
-      }
-      binding_[free_slot] = graph::kInvalidId;
-      return st;
-    }
-
-    if (edge.variable_length) {
-      traversal_.VarLengthTargets(anchor, edge.type, edge.min_hops,
-                                  edge.max_hops, !forward, scratch);
-    } else {
-      // Distinct neighbors: parallel edges must not multiply rows under
-      // set semantics, NodeAccepts can be expensive, and the subtree
-      // below this step would otherwise be re-explored per duplicate.
-      traversal_.GatherDistinctNeighbors(anchor, edge.type, forward,
-                                         &scratch->candidates);
-    }
-    expansions_ += scratch->candidates.size();
-    if (guard_.Charge(scratch->candidates.size()) || guard_.stopped()) {
-      return StopStatus();
-    }
-    for (VertexId v : scratch->candidates) {
-      if (!trivial && !NodeAccepts(graph_, pattern, free_slot, v)) continue;
-      binding_[free_slot] = v;
-      KASKADE_RETURN_IF_ERROR(Backtrack(step_index + 1));
-      binding_[free_slot] = graph::kInvalidId;
-    }
-    return Status::OK();
-  }
-
-  const PropertyGraph& graph_;
-  const CsrGraph& csr_;
-  const ResolvedMatch& rm_;
-  const size_t max_rows_;
-  CancelGuard guard_;
-  Table* direct_table_;
-  CsrTraversal traversal_;
-  RowSet rows_;
-  std::vector<VertexId> binding_;
-  std::vector<StepScratch> scratch_;
-  std::vector<VertexId> row_buf_;
-  uint64_t expansions_ = 0;
-};
-
-/// \brief CSR MATCH driver: resolves and plans once, then runs the
-/// backtracking sequentially or seed-partitioned across worker threads.
-///
-/// Parallel determinism: the top-level seed candidates are materialized
-/// once in the same order the sequential run enumerates them, split
-/// into contiguous blocks claimed off an atomic counter, and each
-/// block's rows are merged back in block order with global
-/// first-occurrence dedup. Workers claim blocks in increasing order, so
-/// a worker-local duplicate is always preceded by its first occurrence
-/// in an earlier block — the merged table is therefore identical to the
-/// sequential table, row order included.
-class CsrMatchEvaluator {
- public:
-  CsrMatchEvaluator(const PropertyGraph& graph, const CsrGraph& csr,
-                    const ExecutorOptions& options)
-      : graph_(graph), csr_(csr), options_(options) {}
-
-  Result<Table> Run(const MatchQuery& match, ExecutionTiming* stats) {
-    KASKADE_ASSIGN_OR_RETURN(ResolvedMatch rm, ResolveMatch(graph_, match));
-    std::vector<VertexId> seeds = TopSeedCandidates(rm);
-
-    size_t workers =
-        options_.parallelism == 0
-            ? std::max(1u, std::thread::hardware_concurrency())
-            : options_.parallelism;
-    workers = std::min(workers, std::max<size_t>(1, seeds.size()));
-
-    if (options_.shards > 1) {
-      return RunSharded(&rm, seeds, workers, stats);
-    }
-
-    if (workers <= 1) {
-      Table table(std::move(rm.columns));
-      CsrMatchRunner runner(graph_, csr_, rm, options_.max_rows,
-                            options_.deadline, /*abort=*/nullptr, &table);
-      Status st = runner.RunSeedRange(seeds, 0, seeds.size());
-      stats->expansions += runner.expansions();
-      stats->deadline_checks += runner.deadline_checks();
-      KASKADE_RETURN_IF_ERROR(st);
-      return table;
-    }
-    return RunParallel(&rm, seeds, workers, stats);
-  }
-
- private:
-  static constexpr uint32_t kUnclaimed = ~0u;
-
-  /// Candidates for the first plan step (always a seed), in the exact
-  /// order a sequential run enumerates them.
-  std::vector<VertexId> TopSeedCandidates(const ResolvedMatch& rm) const {
-    const ResolvedPattern::Node& n =
-        rm.pattern.nodes[static_cast<size_t>(rm.plan[0].node_slot)];
-    if (n.has_type_constraint) return graph_.VerticesOfType(n.type);
-    std::vector<VertexId> all;
-    all.reserve(graph_.NumLiveVertices());
-    for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-      if (graph_.IsVertexLive(v)) all.push_back(v);
-    }
-    return all;
-  }
-
-  Result<Table> BuildTable(ResolvedMatch* rm, const RowSet& rows) const {
-    Table table(std::move(rm->columns));
-    const size_t width = rm->return_slots.size();
-    for (size_t r = 0; r < rows.size(); ++r) {
-      const VertexId* row = rows.row(r);
-      Table::Row out;
-      out.reserve(width);
-      for (size_t k = 0; k < width; ++k) {
-        out.emplace_back(static_cast<int64_t>(row[k]));
-      }
-      table.AddRow(std::move(out));
-    }
-    return table;
-  }
-
-  /// Scatter-gather over engine shards: seeds are partitioned by
-  /// `ShardOfVertex` (relative order preserved), one runner per shard
-  /// walks its seeds recording the row span each seed produced, and the
-  /// gather replays the spans in the *original* seed order with global
-  /// first-occurrence dedup. Byte-identity with the unsharded run: the
-  /// first overall emitter of a row is its earliest-emitting seed k; no
-  /// earlier seed in k's shard emitted it (they run before k on the same
-  /// runner), so k's span contains it, and the seed-order gather meets
-  /// it first at k — exactly where the sequential run first emits it.
-  /// Workers claim whole shards off an atomic counter (cross-shard
-  /// parallelism); `workers == 1` runs the shards inline.
-  Result<Table> RunSharded(ResolvedMatch* rm,
-                           const std::vector<VertexId>& seeds, size_t workers,
-                           ExecutionTiming* stats) const {
-    const size_t shards = options_.shards;
-    struct SeedSpan {
-      uint32_t shard = 0;
-      size_t begin_row = 0;
-      size_t end_row = 0;
-    };
-    std::vector<SeedSpan> spans(seeds.size());
-    std::vector<std::vector<size_t>> shard_seeds(shards);
-    for (size_t i = 0; i < seeds.size(); ++i) {
-      const uint32_t s = graph::ShardOfVertex(seeds[i], shards);
-      spans[i].shard = s;
-      shard_seeds[s].push_back(i);
-    }
-
-    std::vector<std::unique_ptr<CsrMatchRunner>> runners(shards);
-    std::vector<Status> statuses(shards, Status::OK());
-    std::atomic<bool> abort{false};
-    auto run_shard = [&](size_t s) {
-      runners[s] = std::make_unique<CsrMatchRunner>(
-          graph_, csr_, *rm, options_.max_rows, options_.deadline, &abort);
-      for (size_t i : shard_seeds[s]) {
-        if (abort.load(std::memory_order_relaxed)) {
-          statuses[s] = internal::CancelledBySiblingError();
-          return;
-        }
-        spans[i].begin_row = runners[s]->rows().size();
-        Status st = runners[s]->RunSeedRange(seeds, i, i + 1);
-        spans[i].end_row = runners[s]->rows().size();
-        if (!st.ok()) {
-          statuses[s] = st;
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    };
-
-    const size_t pool_size = std::min(workers, shards);
-    if (pool_size <= 1) {
-      for (size_t s = 0; s < shards && !abort.load(std::memory_order_relaxed);
-           ++s) {
-        run_shard(s);
-      }
-    } else {
-      std::atomic<size_t> next_shard{0};
-      auto work = [&] {
-        while (!abort.load(std::memory_order_relaxed)) {
-          size_t s = next_shard.fetch_add(1, std::memory_order_relaxed);
-          if (s >= shards) break;
-          run_shard(s);
-        }
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(pool_size);
-      for (size_t w = 0; w < pool_size; ++w) pool.emplace_back(work);
-      for (std::thread& t : pool) t.join();
-    }
-
-    for (const auto& runner : runners) {
-      if (runner != nullptr) {
-        stats->expansions += runner->expansions();
-        stats->deadline_checks += runner->deadline_checks();
-      }
-    }
-    // Prefer the first originating error in shard order, exactly as the
-    // parallel driver prefers it in worker order: row-limit stays
-    // row-limit and deadline stays deadline regardless of which shard
-    // noticed first.
-    for (const Status& st : statuses) {
-      if (!st.ok() && !internal::IsCancelledBySibling(st)) return st;
-    }
-    for (const Status& st : statuses) {
-      if (!st.ok()) return st;
-    }
-
-    // Gather in original seed order with global first-occurrence dedup.
-    RowSet merged(rm->return_slots.size());
-    for (size_t i = 0; i < seeds.size(); ++i) {
-      const SeedSpan& sp = spans[i];
-      if (runners[sp.shard] == nullptr) {
-        return Status::Internal("unprocessed shard without an error");
-      }
-      const RowSet& rows = runners[sp.shard]->rows();
-      for (size_t r = sp.begin_row; r < sp.end_row; ++r) {
-        if (merged.Insert(rows.row(r)) && merged.size() > options_.max_rows) {
-          return Status::ResourceExhausted("MATCH row limit exceeded");
-        }
-      }
-    }
-    return BuildTable(rm, merged);
-  }
-
-  Result<Table> RunParallel(ResolvedMatch* rm,
-                            const std::vector<VertexId>& seeds, size_t workers,
-                            ExecutionTiming* stats) const {
-    // Small blocks for load balance; contiguous so block order equals
-    // sequential seed order.
-    const size_t block = std::max<size_t>(1, seeds.size() / (workers * 8));
-    const size_t num_blocks = (seeds.size() + block - 1) / block;
-
-    struct BlockRange {
-      uint32_t worker = kUnclaimed;
-      size_t begin_row = 0;
-      size_t end_row = 0;
-    };
-    std::vector<BlockRange> blocks(num_blocks);
-    std::vector<std::unique_ptr<CsrMatchRunner>> runners(workers);
-    std::vector<Status> statuses(workers, Status::OK());
-    std::atomic<size_t> next_block{0};
-    std::atomic<bool> abort{false};
-
-    auto work = [&](size_t w) {
-      runners[w] = std::make_unique<CsrMatchRunner>(
-          graph_, csr_, *rm, options_.max_rows, options_.deadline, &abort);
-      while (!abort.load(std::memory_order_relaxed)) {
-        size_t b = next_block.fetch_add(1, std::memory_order_relaxed);
-        if (b >= num_blocks) break;
-        size_t begin = b * block;
-        size_t end = std::min(seeds.size(), begin + block);
-        size_t begin_row = runners[w]->rows().size();
-        Status st = runners[w]->RunSeedRange(seeds, begin, end);
-        blocks[b] =
-            BlockRange{static_cast<uint32_t>(w), begin_row,
-                       runners[w]->rows().size()};
-        if (!st.ok()) {
-          statuses[w] = st;
-          abort.store(true, std::memory_order_relaxed);
-          break;
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) pool.emplace_back(work, w);
-    for (std::thread& t : pool) t.join();
-
-    for (const auto& runner : runners) {
-      if (runner != nullptr) {
-        stats->expansions += runner->expansions();
-        stats->deadline_checks += runner->deadline_checks();
-      }
-    }
-    // A worker that stopped because a sibling raised the abort flag
-    // carries the sentinel, not the real stop reason — prefer the first
-    // originating error in worker order so row-limit stays row-limit and
-    // deadline stays deadline regardless of which worker noticed first.
-    for (const Status& st : statuses) {
-      if (!st.ok() && !internal::IsCancelledBySibling(st)) return st;
-    }
-    for (const Status& st : statuses) {
-      if (!st.ok()) return st;
-    }
-
-    // Deterministic merge: block order + global first-occurrence dedup.
-    RowSet merged(rm->return_slots.size());
-    for (size_t b = 0; b < num_blocks; ++b) {
-      const BlockRange& br = blocks[b];
-      if (br.worker == kUnclaimed) {
-        return Status::Internal("unprocessed seed block without an error");
-      }
-      const RowSet& rows = runners[br.worker]->rows();
-      for (size_t r = br.begin_row; r < br.end_row; ++r) {
-        if (merged.Insert(rows.row(r)) && merged.size() > options_.max_rows) {
-          return Status::ResourceExhausted("MATCH row limit exceeded");
-        }
-      }
-    }
-    return BuildTable(rm, merged);
-  }
-
-  const PropertyGraph& graph_;
-  const CsrGraph& csr_;
-  ExecutorOptions options_;
-};
-
-// ---------------------------------------------------------------------------
 // SELECT evaluation
 // ---------------------------------------------------------------------------
 
@@ -815,16 +332,13 @@ struct Accumulator {
 Result<Table> QueryExecutor::ExecuteMatch(const MatchQuery& match,
                                           ExecutionTiming* stats) {
   if (csr_ != nullptr) {
-    // Cheap staleness tripwires; generation keying at the engine layer
-    // is the real guarantee. The id-space check additionally catches
-    // balanced insert+remove churn that leaves both counts unchanged —
-    // which matters now that snapshots are patched forward rather than
-    // always rebuilt.
-    if (internal::CsrSnapshotIsStale(*graph_, *csr_)) {
-      return internal::StaleSnapshotError();
-    }
-    CsrMatchEvaluator evaluator(*graph_, *csr_, options_);
-    return evaluator.Run(match, stats);
+    // A solo query is a fused group of one.
+    FusedGroupStats group;
+    std::vector<Result<Table>> results =
+        ExecuteFusedMatch(*graph_, *csr_, {&match}, options_, &group);
+    stats->expansions += group.expansions;
+    stats->deadline_checks += group.deadline_checks;
+    return std::move(results[0]);
   }
   MatchEvaluator evaluator(*graph_, options_);
   Result<Table> result = evaluator.Run(match);

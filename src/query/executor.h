@@ -16,18 +16,17 @@
 ///
 /// - The *legacy* backtracker walks `PropertyGraph`'s per-vertex edge-id
 ///   vectors with an `EdgeRecord` lookup per edge. It is the semantic
-///   oracle the differential tests trust, and the baseline the latency
-///   bench measures against.
-/// - The *CSR* backtracker (selected by constructing the executor with a
-///   `CsrGraph` snapshot) expands over type-partitioned contiguous
-///   neighbor slices with allocation-free inner loops: epoch-stamped
-///   visited arrays instead of per-call hash sets, reusable per-step
-///   candidate buffers, and integer row deduplication in place of string
-///   keys. It returns exactly the same row set (row *order* may differ,
-///   as set semantics permit). With `ExecutorOptions::parallelism > 1`
-///   the CSR backend seed-partitions the top-level backtracking across
-///   worker threads; the merged output is byte-identical to the
-///   sequential CSR run, which therefore remains the oracle.
+///   oracle the differential tests trust, the baseline the latency bench
+///   measures against, and the path taken without a snapshot.
+/// - The *CSR* runner (selected by constructing the executor with a
+///   `CsrGraph` snapshot) is `ExecuteFusedMatch` (query/fused_runner.h)
+///   run as a group of one member: it expands over type-partitioned
+///   contiguous neighbor slices with allocation-free inner loops and
+///   returns exactly the same row set as the legacy backtracker (row
+///   *order* may differ, as set semantics permit). Its seed partitioner
+///   serves `ExecutorOptions::parallelism` and `shards` alike; every
+///   partitioned run is byte-identical to the sequential one, which
+///   therefore remains the oracle.
 
 #ifndef KASKADE_QUERY_EXECUTOR_H_
 #define KASKADE_QUERY_EXECUTOR_H_
@@ -53,11 +52,8 @@ namespace kaskade::query {
 /// sequential execution.
 struct FusionOptions {
   /// Master switch; off reverts every batch member to the solo path.
+  /// On, every shape group of two or more members fuses.
   bool enabled = true;
-  /// Shape groups smaller than this run as singletons (sharing one
-  /// traversal between fewer members than this is not worth the masked
-  /// predicate evaluation). Minimum meaningful value is 2.
-  size_t min_group_size = 2;
 };
 
 /// \brief Executor resource limits and execution knobs.
@@ -66,17 +62,18 @@ struct ExecutorOptions {
   /// rows than this.
   size_t max_rows = 50'000'000;
   /// Worker threads for the top-level MATCH backtracking (CSR backend
-  /// only). 1 = sequential — the differential-test oracle; 0 = hardware
-  /// concurrency. Parallel output is identical to sequential output,
-  /// including row order.
+  /// only, solo queries and fused groups alike). 1 = sequential — the
+  /// differential-test oracle; 0 = hardware concurrency. Above 1 the
+  /// top-level seeds are split into contiguous blocks that workers
+  /// claim; the per-seed row spans merge back in seed order with global
+  /// first-occurrence dedup, so parallel output is identical to
+  /// sequential output, including row order.
   size_t parallelism = 1;
   /// Engine shard count (`EngineOptions::shards`). When > 1 the CSR
-  /// MATCH backends scatter the top-level seeds across shards by
-  /// `graph::ShardOfVertex` — one traversal per shard, workers claiming
-  /// shards — and gather the per-seed row spans back in the original
-  /// seed order with global first-occurrence dedup, so the merged table
-  /// is byte-identical to the unsharded run, row order included. 1 =
-  /// today's unsharded paths, byte-identical by construction.
+  /// backend splits the top-level seeds by `graph::ShardOfVertex`
+  /// instead — one piece per shard, claimed by the `parallelism`
+  /// workers — with the same seed-order merge, so the table is
+  /// byte-identical to the unsharded run, row order included.
   size_t shards = 1;
   /// Cross-query fusion on the engine's batch path.
   FusionOptions fusion;

@@ -1,10 +1,12 @@
 #include "query/fused_runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "query/match_common.h"
@@ -38,28 +40,108 @@ struct FusedCondition {
   std::vector<PropertyValue> rhs;
 };
 
-/// \brief The shared-traversal backtracker. Mirrors `CsrMatchRunner`
-/// (executor.cc) step for step — same plan, same candidate enumeration
-/// order, same emission points — but carries a per-member alive bitmask
-/// instead of evaluating one query's predicates, and splits rows into
-/// per-member row sets at emit time. Byte-identity with the solo
-/// sequential run follows from that mirroring; keep the two in lockstep
-/// when changing either.
+/// \brief The top-level seeds of one walk, collected once in sequential
+/// enumeration order and split into the pieces workers claim. Piece p is
+/// `seeds[bounds[p], bounds[p + 1])`, walked in order; `rank[i]` is
+/// `seeds[i]`'s position in the sequential enumeration (empty when
+/// `seeds` is still in that order).
+struct SeedPartition {
+  std::vector<VertexId> seeds;
+  std::vector<uint32_t> rank;
+  std::vector<size_t> bounds;
+
+  size_t num_pieces() const { return bounds.size() - 1; }
+  uint32_t RankOf(size_t i) const {
+    return rank.empty() ? static_cast<uint32_t>(i) : rank[i];
+  }
+};
+
+/// Splits the first plan step's candidates (always an unbound seed):
+/// one group per `graph::ShardOfVertex` shard when `shards > 1`,
+/// contiguous blocks when `workers > 1` (small, for load balance),
+/// otherwise one piece.
+SeedPartition PartitionSeeds(const PropertyGraph& graph,
+                             const ResolvedMatch& rm, size_t workers,
+                             size_t shards) {
+  const ResolvedPattern::Node& n =
+      rm.pattern.nodes[static_cast<size_t>(rm.plan[0].node_slot)];
+  std::vector<VertexId> seeds;
+  if (n.has_type_constraint) {
+    seeds = graph.VerticesOfType(n.type);
+  } else {
+    seeds.reserve(graph.NumLiveVertices());
+    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+      if (graph.IsVertexLive(v)) seeds.push_back(v);
+    }
+  }
+  SeedPartition part;
+  const size_t count = seeds.size();
+  if (shards > 1) {
+    // Stable bucketing: each shard keeps its seeds in sequential order.
+    part.bounds.assign(shards + 1, 0);
+    for (VertexId v : seeds) ++part.bounds[graph::ShardOfVertex(v, shards) + 1];
+    for (size_t s = 0; s < shards; ++s) part.bounds[s + 1] += part.bounds[s];
+    std::vector<size_t> cursor(part.bounds.begin(), part.bounds.end() - 1);
+    part.seeds.resize(count);
+    part.rank.resize(count);
+    for (size_t i = 0; i < count; ++i) {
+      const size_t at = cursor[graph::ShardOfVertex(seeds[i], shards)]++;
+      part.seeds[at] = seeds[i];
+      part.rank[at] = static_cast<uint32_t>(i);
+    }
+    return part;
+  }
+  const size_t block =
+      workers > 1 ? std::max<size_t>(1, count / (workers * 8)) : count;
+  part.bounds.push_back(0);
+  for (size_t b = block; b < count; b += block) part.bounds.push_back(b);
+  part.bounds.push_back(count);
+  part.seeds = std::move(seeds);
+  return part;
+}
+
+/// Rows one seed added to a member's piece row set: `rows[begin, end)`
+/// of piece `piece`, emitted by the seed of sequential rank `rank`.
+struct SeedSpan {
+  uint32_t rank;
+  uint32_t piece;
+  size_t begin;
+  size_t end;
+};
+
+/// What walking one piece produced, per member. A piece that stopped
+/// early (deadline, peer cancellation, every member failed) is not
+/// `complete` and its rows are partial.
+struct PieceRows {
+  bool complete = false;
+  std::vector<RowSet> rows;
+  /// Only non-empty spans, in the piece's seed order. Unused when the
+  /// walk is one piece: its row sets are the result as they stand.
+  std::vector<std::vector<SeedSpan>> spans;
+};
+
+/// \brief The CSR MATCH backtracker. It walks one plan for a group of
+/// same-shape members — a solo query is a group of one — carrying a
+/// per-member alive bitmask instead of evaluating one query's
+/// predicates, and splits rows into per-member row sets at emit time.
+/// One runner per partition worker; it walks the pieces that worker
+/// claims, keeping its traversal buffers (and member failures) across
+/// them.
 class FusedMatchRunner {
  public:
   FusedMatchRunner(const PropertyGraph& graph, const CsrGraph& csr,
                    const ResolvedMatch& rm,
-                   std::vector<std::vector<FusedCondition>> slot_conditions,
-                   size_t num_members, size_t max_rows,
-                   CancelGuard::Clock::time_point deadline)
+                   const std::vector<std::vector<FusedCondition>>&
+                       slot_conditions,
+                   size_t num_members, size_t max_rows, CancelGuard guard)
       : graph_(graph),
         csr_(csr),
         rm_(rm),
-        slot_conditions_(std::move(slot_conditions)),
+        slot_conditions_(slot_conditions),
         num_members_(num_members),
         words_((num_members + 63) / 64),
         max_rows_(max_rows),
-        guard_(deadline, /*cancel=*/nullptr),
+        guard_(guard),
         traversal_(csr) {
     traversal_.set_guard(&guard_);
     binding_.assign(rm.pattern.nodes.size(), graph::kInvalidId);
@@ -72,40 +154,50 @@ class FusedMatchRunner {
     }
     failed_.assign(words_, 0);
     member_errors_.assign(num_members, Status::OK());
-    member_rows_.reserve(num_members);
-    for (size_t m = 0; m < num_members; ++m) {
-      member_rows_.emplace_back(rm.return_slots.size());
-    }
   }
 
-  void Run() { Backtrack(0, root_mask_.data()); }
-
-  /// One top-level seed candidate (the first plan step is always an
-  /// unbound seed): mirrors one iteration of `Run()`'s seed loop, for
-  /// the scatter-gather driver that partitions the candidates by shard.
-  void RunSeed(VertexId v) {
+  /// Walks piece `p` of `part` into `out`. With `record_spans`, notes
+  /// per member which rows each seed added, for the seed-order merge.
+  void RunPiece(const SeedPartition& part, size_t p, bool record_spans,
+                PieceRows* out) {
+    member_rows_.clear();
+    for (size_t m = 0; m < num_members_; ++m) {
+      member_rows_.emplace_back(rm_.return_slots.size());
+    }
+    if (record_spans) out->spans.assign(num_members_, {});
     const size_t slot = static_cast<size_t>(rm_.plan[0].node_slot);
     uint64_t* narrowed = masks_[0].data();
-    ++expansions_;
-    if (guard_.Charge(1)) return;
-    if (!FusedAccept(slot, v, root_mask_.data(), narrowed)) return;
-    binding_[slot] = v;
-    Backtrack(1, narrowed);
-    binding_[slot] = graph::kInvalidId;
+    const size_t end = part.bounds[p + 1];
+    for (size_t i = part.bounds[p]; i < end; ++i) {
+      if (all_members_failed()) break;
+      ++expansions_;
+      if (guard_.Charge(1)) break;
+      const VertexId v = part.seeds[i];
+      if (!FusedAccept(slot, v, root_mask_.data(), narrowed)) continue;
+      binding_[slot] = v;
+      Backtrack(1, narrowed);
+      binding_[slot] = graph::kInvalidId;
+      if (!record_spans) continue;
+      for (size_t m = 0; m < num_members_; ++m) {
+        std::vector<SeedSpan>& spans = out->spans[m];
+        const size_t begin = spans.empty() ? 0 : spans.back().end;
+        const size_t size = member_rows_[m].size();
+        if (size != begin) {
+          spans.push_back(SeedSpan{part.RankOf(i), static_cast<uint32_t>(p),
+                                   begin, size});
+        }
+      }
+    }
+    out->complete = !guard_.stopped() && !all_members_failed();
+    out->rows = std::move(member_rows_);
   }
 
-  bool all_members_failed() const { return AllFailed(); }
-
-  const RowSet& rows_of(size_t member) const { return member_rows_[member]; }
+  bool all_members_failed() const { return num_failed_ == num_members_; }
   const Status& error_of(size_t member) const {
     return member_errors_[member];
   }
+  const CancelGuard& guard() const { return guard_; }
   uint64_t expansions() const { return expansions_; }
-  uint64_t deadline_checks() const { return guard_.checks(); }
-  /// The group's deadline fired and the shared walk stopped early: every
-  /// member without its own error holds a *partial* row set and must be
-  /// failed by the caller, never materialized.
-  bool deadline_expired() const { return guard_.expired(); }
 
  private:
   bool AnyAlive(const uint64_t* mask) const {
@@ -114,24 +206,19 @@ class FusedMatchRunner {
     return any != 0;
   }
 
-  bool AllFailed() const {
-    size_t failed = 0;
-    for (size_t w = 0; w < words_; ++w) failed += std::popcount(failed_[w]);
-    return failed == num_members_;
-  }
-
   void FailMember(size_t m, Status status) {
     member_errors_[m] = std::move(status);
     failed_[m / 64] |= uint64_t(1) << (m % 64);
+    ++num_failed_;
   }
 
   /// Binding `v` to `slot`: the shared type constraint first (clears
-  /// everyone at once), then each conjunct fetches the property value
+  /// everyone at once), then each conjunct reads the property value
   /// once and compares it against every still-alive member's constant.
   /// Writes the narrowed mask into `out`; returns false (and leaves
   /// `out` unspecified) when no member survives.
   bool FusedAccept(size_t slot, VertexId v, const uint64_t* in,
-                   uint64_t* out) {
+                   uint64_t* out) const {
     const ResolvedPattern::Node& n = rm_.pattern.nodes[slot];
     if (n.has_type_constraint && graph_.VertexType(v) != n.type) return false;
     uint64_t any = 0;
@@ -140,8 +227,11 @@ class FusedMatchRunner {
       any |= out[w];
     }
     if (any == 0) return false;
+    static const PropertyValue kNull;
     for (const FusedCondition& cond : slot_conditions_[slot]) {
-      PropertyValue value = graph_.VertexProperty(v, cond.property);
+      const PropertyValue* found =
+          graph_.VertexProperties(v).Find(cond.property);
+      const PropertyValue& value = found != nullptr ? *found : kNull;
       any = 0;
       for (size_t w = 0; w < words_; ++w) {
         uint64_t bits = out[w];
@@ -162,8 +252,7 @@ class FusedMatchRunner {
   /// Every alive member receives the current binding's row. The row
   /// content is shared (bindings are group-wide); distinctness and the
   /// row limit are per member — a member past `max_rows_` fails with
-  /// the same error its solo run would raise at the same insertion, and
-  /// its bit leaves the traversal.
+  /// the row-limit error, and its bit leaves the traversal.
   void EmitRows(const uint64_t* mask) {
     const size_t width = rm_.return_slots.size();
     for (size_t k = 0; k < width; ++k) {
@@ -195,6 +284,7 @@ class FusedMatchRunner {
     uint64_t* narrowed = masks_[step_index].data();
 
     if (step.kind == Step::kSeed) {
+      // Secondary seed (disconnected pattern component).
       size_t slot = static_cast<size_t>(step.node_slot);
       if (binding_[slot] != graph::kInvalidId) {
         Backtrack(step_index + 1, mask);
@@ -211,13 +301,13 @@ class FusedMatchRunner {
       };
       if (n.has_type_constraint) {
         for (VertexId v : graph_.VerticesOfType(n.type)) {
-          if (AllFailed() || guard_.stopped()) return;
+          if (all_members_failed() || guard_.stopped()) return;
           try_seed(v);
         }
       } else {
         for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
           if (!graph_.IsVertexLive(v)) continue;
-          if (AllFailed() || guard_.stopped()) return;
+          if (all_members_failed() || guard_.stopped()) return;
           try_seed(v);
         }
       }
@@ -254,8 +344,11 @@ class FusedMatchRunner {
     const bool trivial = forward ? edge.trivial_forward : edge.trivial_backward;
 
     if (!edge.variable_length && step_index + 1 == rm_.plan.size()) {
-      // Fused final expansion, as in the solo runner: iterate the typed
-      // slice directly and emit.
+      // Final fixed expansion: the recursion below this step is just
+      // EmitRows, and the row sets already deduplicate, so duplicate
+      // neighbors (parallel edges) need no expansion-level dedup —
+      // iterate the typed slice directly, no gather, no buffers.
+      // First-occurrence emission order is unchanged.
       EdgeSpan span = forward ? csr_.TypedOutEdges(anchor, edge.type)
                               : csr_.TypedInEdges(anchor, edge.type);
       expansions_ += span.size;
@@ -278,6 +371,9 @@ class FusedMatchRunner {
       traversal_.VarLengthTargets(anchor, edge.type, edge.min_hops,
                                   edge.max_hops, !forward, scratch);
     } else {
+      // Distinct neighbors: parallel edges must not multiply rows under
+      // set semantics, and the subtree below this step would otherwise
+      // be re-explored per duplicate.
       traversal_.GatherDistinctNeighbors(anchor, edge.type, forward,
                                          &scratch->candidates);
     }
@@ -299,7 +395,7 @@ class FusedMatchRunner {
   const PropertyGraph& graph_;
   const CsrGraph& csr_;
   const ResolvedMatch& rm_;
-  const std::vector<std::vector<FusedCondition>> slot_conditions_;
+  const std::vector<std::vector<FusedCondition>>& slot_conditions_;
   const size_t num_members_;
   const size_t words_;
   const size_t max_rows_;
@@ -315,7 +411,9 @@ class FusedMatchRunner {
   std::vector<std::vector<uint64_t>> masks_;
   std::vector<uint64_t> root_mask_;
   std::vector<uint64_t> failed_;
+  size_t num_failed_ = 0;
   std::vector<Status> member_errors_;
+  /// The current piece's distinct rows per member.
   std::vector<RowSet> member_rows_;
   uint64_t expansions_ = 0;
 };
@@ -366,6 +464,48 @@ Status LiftConstants(const ResolvedMatch& rm,
   return Status::OK();
 }
 
+Table ToTable(const ResolvedMatch& rm, const RowSet& rows) {
+  Table table(std::vector<Column>(rm.columns));
+  const size_t width = rm.return_slots.size();
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const VertexId* row = rows.row(r);
+    Table::Row out;
+    out.reserve(width);
+    for (size_t k = 0; k < width; ++k) {
+      out.emplace_back(static_cast<int64_t>(row[k]));
+    }
+    table.AddRow(std::move(out));
+  }
+  return table;
+}
+
+/// Member `m`'s table from a multi-piece walk: its spans replayed in
+/// sequential seed order with global first-occurrence dedup. Identical
+/// to the one-piece table, row order included: a row's first emitter in
+/// the sequential walk is some seed k; no earlier seed of k's piece
+/// emitted it (a piece walks its seeds in order, into its own row set),
+/// so k's span holds it, and the replay meets it first at k.
+Result<Table> MergeMember(const ResolvedMatch& rm,
+                          const std::vector<PieceRows>& pieces, size_t m,
+                          size_t max_rows) {
+  std::vector<SeedSpan> spans;
+  for (const PieceRows& piece : pieces) {
+    spans.insert(spans.end(), piece.spans[m].begin(), piece.spans[m].end());
+  }
+  std::sort(spans.begin(), spans.end(),
+            [](const SeedSpan& a, const SeedSpan& b) { return a.rank < b.rank; });
+  RowSet merged(rm.return_slots.size());
+  for (const SeedSpan& sp : spans) {
+    const RowSet& rows = pieces[sp.piece].rows[m];
+    for (size_t r = sp.begin; r < sp.end; ++r) {
+      if (merged.Insert(rows.row(r)) && merged.size() > max_rows) {
+        return Status::ResourceExhausted("MATCH row limit exceeded");
+      }
+    }
+  }
+  return ToTable(rm, merged);
+}
+
 }  // namespace
 
 std::vector<Result<Table>> ExecuteFusedMatch(
@@ -402,7 +542,9 @@ std::vector<Result<Table>> ExecuteFusedMatch(
   }
   // Group-level failures are shape-determined: every member's solo run
   // would raise the identical error, so filling each slot with it keeps
-  // the fused path indistinguishable from the sequential one.
+  // the fused path indistinguishable from the sequential one. The
+  // staleness check is a tripwire; generation keying at the engine
+  // layer is the real guarantee.
   if (internal::CsrSnapshotIsStale(graph, csr)) {
     return fail_all(internal::StaleSnapshotError());
   }
@@ -413,166 +555,81 @@ std::vector<Result<Table>> ExecuteFusedMatch(
   Status lifted = LiftConstants(*rm, members, &slot_conditions);
   if (!lifted.ok()) return fail_all(lifted);
 
-  if (options.shards > 1) {
-    // Scatter-gather over engine shards, mirroring the solo evaluator's
-    // sharded path: the top-level seed candidates are materialized in
-    // sequential enumeration order and partitioned by `ShardOfVertex`;
-    // each shard runs its own shared walk over its seeds (one fused
-    // traversal per shard), recording the row span every seed produced
-    // per member; the gather replays each member's spans in original
-    // seed order with global first-occurrence dedup, so every member's
-    // table is byte-identical to the unsharded fused run — which is
-    // itself byte-identical to the member's solo run.
-    const size_t num_shards = options.shards;
-    const ResolvedPattern::Node& n0 =
-        rm->pattern.nodes[static_cast<size_t>(rm->plan[0].node_slot)];
-    std::vector<VertexId> seeds;
-    if (n0.has_type_constraint) {
-      seeds = graph.VerticesOfType(n0.type);
-    } else {
-      seeds.reserve(graph.NumLiveVertices());
-      for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-        if (graph.IsVertexLive(v)) seeds.push_back(v);
-      }
-    }
-    std::vector<std::vector<size_t>> shard_seeds(num_shards);
-    for (size_t i = 0; i < seeds.size(); ++i) {
-      shard_seeds[graph::ShardOfVertex(seeds[i], num_shards)].push_back(i);
-    }
+  const size_t parallelism =
+      options.parallelism == 0
+          ? std::max(1u, std::thread::hardware_concurrency())
+          : options.parallelism;
+  const SeedPartition part =
+      PartitionSeeds(graph, *rm, parallelism, options.shards);
+  const size_t num_pieces = part.num_pieces();
+  const bool merge = num_pieces > 1;
+  const size_t workers = std::min(parallelism, num_pieces);
 
-    // Sparse per-(member, seed) spans: most seeds emit nothing for most
-    // members, so only size changes are recorded.
-    struct MemberSpan {
-      uint32_t seed;
-      uint32_t shard;
-      size_t begin;
-      size_t end;
-    };
-    std::vector<std::vector<MemberSpan>> member_spans(members.size());
-    std::vector<std::unique_ptr<FusedMatchRunner>> runners(num_shards);
-    std::vector<size_t> prev_size(members.size());
-    bool expired = false;
-    for (size_t s = 0; s < num_shards && !expired; ++s) {
-      runners[s] = std::make_unique<FusedMatchRunner>(
-          graph, csr, *rm, slot_conditions, members.size(), options.max_rows,
-          options.deadline);
-      std::fill(prev_size.begin(), prev_size.end(), 0);
-      for (size_t i : shard_seeds[s]) {
-        if (runners[s]->all_members_failed()) break;
-        runners[s]->RunSeed(seeds[i]);
-        for (size_t m = 0; m < members.size(); ++m) {
-          const size_t sz = runners[s]->rows_of(m).size();
-          if (sz != prev_size[m]) {
-            member_spans[m].push_back(MemberSpan{
-                static_cast<uint32_t>(i), static_cast<uint32_t>(s),
-                prev_size[m], sz});
-            prev_size[m] = sz;
-          }
-        }
-        if (runners[s]->deadline_expired()) {
-          expired = true;
-          break;
-        }
+  // Workers claim pieces in increasing order, each with its own runner.
+  // A runner whose deadline fires raises `cancel` through its guard; one
+  // whose members have all failed raises it here — nothing is left to
+  // compute anywhere, since a failure in one piece fails the member.
+  // Either way the siblings stop within one check interval.
+  std::vector<PieceRows> pieces(num_pieces);
+  std::vector<std::unique_ptr<FusedMatchRunner>> runners(workers);
+  std::atomic<size_t> next_piece{0};
+  std::atomic<bool> cancel{false};
+  auto work = [&](size_t w) {
+    runners[w] = std::make_unique<FusedMatchRunner>(
+        graph, csr, *rm, slot_conditions, members.size(), options.max_rows,
+        CancelGuard(options.deadline, workers > 1 ? &cancel : nullptr));
+    FusedMatchRunner& runner = *runners[w];
+    while (!cancel.load(std::memory_order_relaxed)) {
+      const size_t p = next_piece.fetch_add(1, std::memory_order_relaxed);
+      if (p >= num_pieces) break;
+      runner.RunPiece(part, p, merge, &pieces[p]);
+      if (runner.guard().stopped()) break;
+      if (runner.all_members_failed()) {
+        cancel.store(true, std::memory_order_relaxed);
+        break;
       }
     }
-    if (stats != nullptr) {
-      for (const auto& r : runners) {
-        if (r == nullptr) continue;
-        stats->expansions += r->expansions();
-        stats->deadline_checks += r->deadline_checks();
-      }
-    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  for (size_t w = 1; w < workers; ++w) pool.emplace_back(work, w);
+  work(0);
+  for (std::thread& t : pool) t.join();
 
-    const size_t width = rm->return_slots.size();
-    for (size_t m = 0; m < members.size(); ++m) {
-      // A member's own error (row limit) beats the group deadline,
-      // preferred in shard order so the outcome is deterministic.
-      Status member_error = Status::OK();
-      for (const auto& r : runners) {
-        if (r != nullptr && !r->error_of(m).ok()) {
-          member_error = r->error_of(m);
-          break;
-        }
-      }
-      if (!member_error.ok()) {
-        results.push_back(member_error);
-        continue;
-      }
-      if (expired) {
-        results.push_back(internal::DeadlineExceededError());
-        continue;
-      }
-      // Each seed lives in exactly one shard, so sorting by seed index
-      // recovers the sequential emission order.
-      std::sort(member_spans[m].begin(), member_spans[m].end(),
-                [](const MemberSpan& a, const MemberSpan& b) {
-                  return a.seed < b.seed;
-                });
-      RowSet merged(width);
-      Status merge_status = Status::OK();
-      for (const MemberSpan& sp : member_spans[m]) {
-        const RowSet& rows = runners[sp.shard]->rows_of(m);
-        for (size_t r = sp.begin; r < sp.end; ++r) {
-          if (merged.Insert(rows.row(r)) && merged.size() > options.max_rows) {
-            merge_status =
-                Status::ResourceExhausted("MATCH row limit exceeded");
-            break;
-          }
-        }
-        if (!merge_status.ok()) break;
-      }
-      if (!merge_status.ok()) {
-        results.push_back(merge_status);
-        continue;
-      }
-      Table table(std::vector<Column>(rm->columns));
-      for (size_t r = 0; r < merged.size(); ++r) {
-        const VertexId* row = merged.row(r);
-        Table::Row out;
-        out.reserve(width);
-        for (size_t k = 0; k < width; ++k) {
-          out.emplace_back(static_cast<int64_t>(row[k]));
-        }
-        table.AddRow(std::move(out));
-      }
-      results.push_back(std::move(table));
-    }
-    finish_timing();
-    return results;
-  }
-
-  FusedMatchRunner runner(graph, csr, *rm, std::move(slot_conditions),
-                          members.size(), options.max_rows,
-                          options.deadline);
-  runner.Run();
+  bool complete = true;
+  for (const PieceRows& piece : pieces) complete &= piece.complete;
   if (stats != nullptr) {
-    stats->expansions = runner.expansions();
-    stats->deadline_checks = runner.deadline_checks();
+    stats->expansions = 0;
+    stats->deadline_checks = 0;
+    for (const auto& runner : runners) {
+      stats->expansions += runner->expansions();
+      stats->deadline_checks += runner->guard().checks();
+    }
   }
 
-  const size_t width = rm->return_slots.size();
   for (size_t m = 0; m < members.size(); ++m) {
-    if (!runner.error_of(m).ok()) {
-      results.push_back(runner.error_of(m));
-      continue;
-    }
-    if (runner.deadline_expired()) {
-      // The shared walk stopped early; this member's row set is partial.
-      results.push_back(internal::DeadlineExceededError());
-      continue;
-    }
-    Table table(std::vector<Column>(rm->columns));
-    const RowSet& rows = runner.rows_of(m);
-    for (size_t r = 0; r < rows.size(); ++r) {
-      const VertexId* row = rows.row(r);
-      Table::Row out;
-      out.reserve(width);
-      for (size_t k = 0; k < width; ++k) {
-        out.emplace_back(static_cast<int64_t>(row[k]));
+    // A member's own error beats the group deadline. The only one is
+    // the row limit, so whichever runner noted it holds the same
+    // status the member's sequential walk raises.
+    Status member_error = Status::OK();
+    for (const auto& runner : runners) {
+      if (!runner->error_of(m).ok()) {
+        member_error = runner->error_of(m);
+        break;
       }
-      table.AddRow(std::move(out));
     }
-    results.push_back(std::move(table));
+    if (!member_error.ok()) {
+      results.push_back(std::move(member_error));
+    } else if (!complete) {
+      // The walk stopped early without failing this member, so a
+      // deadline fired (in this runner or a peer's) and its rows are
+      // partial.
+      results.push_back(internal::DeadlineExceededError());
+    } else if (merge) {
+      results.push_back(MergeMember(*rm, pieces, m, options.max_rows));
+    } else {
+      results.push_back(ToTable(*rm, pieces[0].rows[m]));
+    }
   }
   finish_timing();
   return results;

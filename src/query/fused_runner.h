@@ -25,6 +25,15 @@
 /// every binding — the same leaves, in the same depth-first order. The
 /// differential suite (`tests/differential_test.cc`) enforces this
 /// across mutation streams.
+///
+/// This is the only CSR MATCH walk: `QueryExecutor` runs a solo query as
+/// a group of one, so a one-member group's identity with the solo run
+/// holds by construction. The top-level seeds are split by one
+/// partitioner — contiguous blocks for `ExecutorOptions::parallelism`,
+/// `graph::ShardOfVertex` groups for `ExecutorOptions::shards`, one
+/// piece otherwise — whose pieces workers claim; the per-seed row spans
+/// merge back in seed order with first-occurrence dedup, so every
+/// partitioned run is byte-identical to the one-piece run.
 
 #ifndef KASKADE_QUERY_FUSED_RUNNER_H_
 #define KASKADE_QUERY_FUSED_RUNNER_H_
@@ -63,8 +72,10 @@ struct FusedGroupStats {
 /// fill every slot with the same error. When `options.deadline` fires
 /// mid-traversal the shared walk stops at the next check and every
 /// member that has not already produced a complete result fails with
-/// `kDeadlineExceeded` — a partial table is never returned. Sequential;
-/// the caller decides how groups are spread across batch workers.
+/// `kDeadlineExceeded` — a partial table is never returned; a member's
+/// own error (the row limit) wins over the deadline. With
+/// `options.parallelism` or `options.shards` above 1 the walk is split
+/// across up to `parallelism` threads, the calling thread included.
 std::vector<Result<Table>> ExecuteFusedMatch(
     const graph::PropertyGraph& graph, const graph::CsrGraph& csr,
     const std::vector<const MatchQuery*>& members,

@@ -1,19 +1,19 @@
 /// \file match_common.h
-/// \brief Internal MATCH machinery shared by the per-query executor
-/// (`query/executor.cc`) and the fused batch runner
-/// (`query/fused_runner.cc`): pattern resolution, plan ordering, the
+/// \brief Internal MATCH machinery shared by the legacy backtracker
+/// (`query/executor.cc`) and the CSR runner (`query/fused_runner.cc`):
+/// pattern resolution, plan ordering, the
 /// per-candidate acceptance check, the allocation-free distinct-row
 /// sink, and the CSR traversal primitives (typed-slice gathers,
 /// variable-length BFS, filter-edge probes) with their epoch-stamped
 /// visited arrays.
 ///
-/// Everything here is deterministic in a way both consumers rely on:
+/// Everything here is deterministic in a way the CSR runner relies on:
 /// `PlanMatchOrder` depends only on the pattern structure and graph
 /// statistics (never on predicate constants), gathers enumerate
 /// candidates in first-occurrence order of the typed CSR slice, and
-/// `RowSet` preserves insertion order — so a fused group run and a solo
-/// run explore candidates in the same order and emit rows in the same
-/// order.
+/// `RowSet` preserves insertion order — so every member of a fused
+/// group sees the candidates, and emits its rows, in the order of its
+/// own solo walk.
 ///
 /// This header is internal to `src/query/`; it is not part of the
 /// engine-facing API.
@@ -37,8 +37,8 @@
 namespace kaskade::query::internal {
 
 /// \brief Cooperative deadline / sibling-cancellation guard shared by
-/// every MATCH backend (legacy backtracker, solo CSR runner, parallel
-/// CSR workers, fused group runner).
+/// both MATCH backends (the legacy backtracker, and the CSR runner and
+/// its partition workers).
 ///
 /// Reading the clock per expansion would dominate the traversal inner
 /// loops, so the guard is *epoch-counted*: `Charge(work)` accumulates
@@ -89,12 +89,10 @@ class CancelGuard {
     ++checks_;
     if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
       stopped_ = true;
-      cancelled_ = true;
       return true;
     }
     if (has_deadline_ && Clock::now() >= deadline_) {
       stopped_ = true;
-      expired_ = true;
       // Broadcast so sibling workers stop promptly too.
       if (cancel_ != nullptr) cancel_->store(true, std::memory_order_relaxed);
       return true;
@@ -103,11 +101,6 @@ class CancelGuard {
   }
 
   bool stopped() const { return stopped_; }
-  /// This guard's own deadline fired.
-  bool expired() const { return expired_; }
-  /// Stopped because a sibling raised the shared flag, not because this
-  /// guard's deadline fired — the sibling carries the real error.
-  bool cancelled_by_peer() const { return cancelled_ && !expired_; }
   /// Number of actual clock/flag tests performed (telemetry).
   uint64_t checks() const { return checks_; }
 
@@ -118,25 +111,10 @@ class CancelGuard {
   uint64_t pending_ = 0;
   uint64_t checks_ = 0;
   bool stopped_ = false;
-  bool expired_ = false;
-  bool cancelled_ = false;
 };
 
 inline Status DeadlineExceededError() {
   return Status::DeadlineExceeded("query deadline exceeded");
-}
-
-/// Sentinel a parallel worker returns when it stopped because a sibling
-/// raised the shared abort flag. The parallel driver replaces it with
-/// the originating sibling's real error; it must never escape to a
-/// caller.
-inline Status CancelledBySiblingError() {
-  return Status::Internal("cancelled by sibling worker");
-}
-
-inline bool IsCancelledBySibling(const Status& st) {
-  return st.code() == StatusCode::kInternal &&
-         st.message() == "cancelled by sibling worker";
 }
 
 /// Resolved pattern: names mapped to dense slots, types to ids.
@@ -355,7 +333,7 @@ class CsrTraversal {
   uint32_t result_epoch_ = 0;
 };
 
-/// The staleness tripwire both CSR backends raise when a snapshot does
+/// The staleness tripwire the CSR runner raises when a snapshot does
 /// not match its property graph (generation keying at the engine layer
 /// is the real guarantee; this catches misuse).
 inline bool CsrSnapshotIsStale(const graph::PropertyGraph& graph,

@@ -407,12 +407,11 @@ TEST_P(DifferentialTest, CsrExecutorMatchesLegacyAcrossMutations) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-fusion differential: ExecuteBatch with cross-query fusion on,
-// off, and at a raised min-group-size must all return tables
-// byte-identical (rows *in order*) to sequential Execute of the same
-// texts, across randomized mutation sequences. The batch deliberately
-// mixes shapes: a 3-member constant-variant group, a 2-member group
-// (below engine C's min_group_size), duplicate texts, the full
+// Batch-fusion differential: ExecuteBatch with cross-query fusion on
+// and off must both return tables byte-identical (rows *in order*) to
+// sequential Execute of the same texts, across randomized mutation
+// sequences. The batch deliberately mixes shapes: a 3-member
+// constant-variant group, a 2-member group, duplicate texts, the full
 // mixed-shape suite as singletons, and non-fusable SELECT shells.
 // ---------------------------------------------------------------------------
 
@@ -424,7 +423,7 @@ std::vector<std::string> FusionBatch() {
       "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.hot = 0 RETURN j, f",
       "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.hot = 1 RETURN j, f",
       "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.hot = 1 RETURN j, f",
-      // Shape group of 2 (stays solo when min_group_size = 3).
+      // Shape group of 2.
       "MATCH (x:User)-[:SUBMITS]->(j:Job) WHERE j.hot = 0 RETURN x, j",
       "MATCH (x:User)-[:SUBMITS]->(j:Job) WHERE j.hot = 1 RETURN x, j",
       // Variable-length shape group of 2 via duplicate text.
@@ -459,24 +458,20 @@ TEST_P(DifferentialTest, FusedBatchMatchesSequentialAcrossMutations) {
   PropertyGraph base(DeltaSchema());
   SeedGraph(&base, &state);
 
-  // Three engines over identical graphs and identical delta streams:
-  // fusion on (default), fusion off, and min_group_size = 3 (pair
-  // groups run solo, the trio still fuses).
+  // Two engines over identical graphs and identical delta streams:
+  // fusion on (default) and fusion off.
   EngineOptions fused_opts;
   EngineOptions unfused_opts;
   unfused_opts.executor.fusion.enabled = false;
-  EngineOptions trio_opts;
-  trio_opts.executor.fusion.min_group_size = 3;
   Engine fused(PropertyGraph(base), fused_opts);
-  Engine unfused(PropertyGraph(base), unfused_opts);
-  Engine trio(std::move(base), trio_opts);
-  Engine* engines[] = {&fused, &unfused, &trio};
+  Engine unfused(std::move(base), unfused_opts);
+  Engine* engines[] = {&fused, &unfused};
 
   const std::vector<std::string> batch = FusionBatch();
   // Batch-only expansion work per engine: the solo oracle runs below
   // also bump the fused engine's lifetime counter, so the fused-vs-
   // unfused comparison must difference around each ExecuteBatch call.
-  uint64_t batch_expansions[3] = {0, 0, 0};
+  uint64_t batch_expansions[2] = {0, 0};
   constexpr int kSteps = 12;
   for (int step = 0; step < kSteps; ++step) {
     // Sequential solo runs are the oracle; the engines' graphs are
@@ -488,7 +483,7 @@ TEST_P(DifferentialTest, FusedBatchMatchesSequentialAcrossMutations) {
       ASSERT_TRUE(solo.ok()) << text << ": " << solo.status();
       expected.push_back(std::move(solo->table));
     }
-    for (size_t e = 0; e < 3; ++e) {
+    for (size_t e = 0; e < 2; ++e) {
       Engine* engine = engines[e];
       const uint64_t before = engine->traversal_expansions();
       auto results = engine->ExecuteBatch(batch);
@@ -530,14 +525,10 @@ TEST_P(DifferentialTest, FusedBatchMatchesSequentialAcrossMutations) {
   // there.
   EngineTelemetry on = fused.TelemetrySnapshot();
   EngineTelemetry off = unfused.TelemetrySnapshot();
-  EngineTelemetry mid = trio.TelemetrySnapshot();
   EXPECT_GT(on.fused_groups, 0u);
   EXPECT_GT(on.fused_members, 0u);
   EXPECT_EQ(off.fused_groups, 0u);
   EXPECT_EQ(off.fused_members, 0u);
-  EXPECT_GT(mid.fused_groups, 0u);
-  // Pair groups ran solo under min_group_size = 3.
-  EXPECT_LT(mid.fused_members, on.fused_members);
   // Fusion pays each group's traversal once where the unfused engine
   // pays per member; the batches the two engines ran are identical.
   EXPECT_LT(batch_expansions[0], batch_expansions[1]);

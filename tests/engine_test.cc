@@ -335,7 +335,7 @@ TEST(ExecuteBatchTest, ShapeGroupsFuseAndMatchSolo) {
   EXPECT_EQ(fused_hits, 3u);
 }
 
-TEST(ExecuteBatchTest, FusionRespectsGateAndMinGroupSize) {
+TEST(ExecuteBatchTest, FusionRespectsGate) {
   std::vector<std::string> batch = {
       "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.name = 'job_0' "
       "RETURN j, f",
@@ -352,18 +352,6 @@ TEST(ExecuteBatchTest, FusionRespectsGateAndMinGroupSize) {
       EXPECT_FALSE(result->fused);
     }
     EXPECT_EQ(engine.TelemetrySnapshot().fused_groups, 0u);
-  }
-  {
-    // A pair is below min_group_size = 3: solo path, no fusion.
-    EngineOptions options;
-    options.executor.fusion.min_group_size = 3;
-    Engine engine(SmallProv(), options);
-    auto results = engine.ExecuteBatch(batch);
-    for (const auto& result : results) {
-      ASSERT_TRUE(result.ok());
-      EXPECT_FALSE(result->fused);
-    }
-    EXPECT_EQ(engine.TelemetrySnapshot().fused_members, 0u);
   }
 }
 

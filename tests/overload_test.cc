@@ -3,8 +3,8 @@
 // under test: a query that finishes within its deadline is byte-identical
 // to a run with no deadline at all; an expired deadline fails only the
 // affected executions with kDeadlineExceeded (never a torn table, never
-// the internal sibling-cancel sentinel); the admission gate sheds excess
-// arrivals with kUnavailable without touching the graph.
+// an internal error from stopping sibling workers); the admission gate
+// sheds excess arrivals with kUnavailable without touching the graph.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +21,8 @@
 #include "datasets/generators.h"
 #include "datasets/workloads.h"
 #include "query/executor.h"
+#include "query/fused_runner.h"
+#include "query/parser.h"
 
 namespace kaskade::core {
 namespace {
@@ -96,7 +99,8 @@ TEST(DeadlineTest, ParallelRunWithDeadlineMatchesSequentialWithout) {
 }
 
 // ---------------------------------------------------------------------------
-// Deadline expiry: clean kDeadlineExceeded, counted, no sentinel leak
+// Deadline expiry: clean kDeadlineExceeded, counted, nothing internal
+// leaks
 // ---------------------------------------------------------------------------
 
 TEST(DeadlineTest, PreExpiredDeadlineFailsWithDeadlineExceeded) {
@@ -113,7 +117,14 @@ TEST(DeadlineTest, PreExpiredDeadlineFailsWithDeadlineExceeded) {
 TEST(DeadlineTest, TightDeadlineExpiresMidParallelEvaluationCleanly) {
   EngineOptions options;
   options.executor.parallelism = 4;
-  Engine engine(MediumProv(), options);
+  // Evaluation spans thousands of check intervals on this graph (about
+  // 25 ms in an optimized build), so the 200 us deadline fires inside
+  // it. On MediumProv the whole query could finish before the deadline.
+  datasets::ProvOptions prov;
+  prov.num_jobs = 400;
+  prov.num_files = 800;
+  prov.include_auxiliary = false;
+  Engine engine(datasets::MakeProvenanceGraph(prov), options);
   const std::string text = datasets::AncestorsQueryText("File", 8);
   // Warm the plan cache so the deadline burns inside evaluation, not
   // planning.
@@ -123,8 +134,8 @@ TEST(DeadlineTest, TightDeadlineExpiresMidParallelEvaluationCleanly) {
   call.deadline = steady_clock::now() + std::chrono::microseconds(200);
   auto result = engine.Execute(text, call);
   ASSERT_FALSE(result.ok());
-  // The public failure is always kDeadlineExceeded: the sibling-cancel
-  // sentinel workers use to stop each other must never escape.
+  // The public failure is always kDeadlineExceeded, whichever worker
+  // noticed the deadline and however the others were stopped.
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
       << result.status();
   EXPECT_EQ(engine.queries_timed_out(), 1u);
@@ -186,7 +197,7 @@ TEST(DeadlineTest, ExpiredBatchFailsEveryMemberIndividually) {
 TEST(DeadlineTest, FusedGroupHonorsDeadlinesWithoutTornTables) {
   Engine engine(MediumProv());
   // Eight same-shape queries: the batch runs them as one fused
-  // traversal (min_group_size is 2 and fusion defaults on).
+  // traversal (fusion defaults on).
   std::vector<std::string> texts(8, datasets::AncestorsQueryText("Job", 3));
 
   CallOptions generous;
@@ -202,7 +213,7 @@ TEST(DeadlineTest, FusedGroupHonorsDeadlinesWithoutTornTables) {
   EXPECT_GT(engine.fused_groups(), 0u) << "batch did not take the fused path";
 
   // An already-expired deadline fails every fused member with the
-  // public code — no partial tables, no sentinel leak.
+  // public code — no partial tables, nothing internal.
   CallOptions expired;
   expired.deadline = steady_clock::now() - std::chrono::milliseconds(1);
   auto failed = engine.ExecuteBatch(texts, expired);
@@ -210,6 +221,60 @@ TEST(DeadlineTest, FusedGroupHonorsDeadlinesWithoutTornTables) {
     ASSERT_FALSE(slot.ok());
     EXPECT_EQ(slot.status().code(), StatusCode::kDeadlineExceeded)
         << slot.status();
+  }
+}
+
+// A deadline that fires mid-walk fails the walk however it is
+// partitioned (one piece, blocks, shards) with kDeadlineExceeded, never
+// a partial table, while a fused member's own row-limit error, raised
+// before the deadline, wins over it.
+TEST(DeadlineTest, MidWalkDeadlineFailsEveryPartitionWithoutTornTables) {
+  datasets::ProvOptions prov;
+  prov.include_auxiliary = false;
+  const PropertyGraph g = datasets::MakeProvenanceGraph(prov);
+  const graph::CsrGraph csr = graph::CsrGraph::Build(g);
+  // Deep variable-length walks from every job: over a second of
+  // traversal even in an optimized build, so a 100 ms deadline fires
+  // mid-walk. Member 0 passes the one-row limit on its first seed with
+  // two reachable jobs; member 1 emits nothing and must walk it all.
+  const std::vector<std::string> texts = {
+      "MATCH (j:Job)-[r*1..16]->(b:Job) WHERE j.CPU > 0 AND b.CPU > 0 "
+      "RETURN j, b",
+      "MATCH (j:Job)-[r*1..16]->(b:Job) WHERE j.CPU > 0 AND b.CPU > 1000 "
+      "RETURN j, b",
+  };
+  std::vector<query::Query> queries;
+  for (const std::string& text : texts) {
+    auto parsed = query::ParseQueryText(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    queries.push_back(std::move(*parsed));
+  }
+  const std::vector<const query::MatchQuery*> members = {
+      &queries[0].match(), &queries[1].match()};
+
+  for (size_t shards : {1u, 2u}) {
+    for (size_t workers : {1u, 4u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " workers=" + std::to_string(workers));
+      query::ExecutorOptions opts;
+      opts.shards = shards;
+      opts.parallelism = workers;
+      opts.max_rows = 1;
+
+      opts.deadline = steady_clock::now() + std::chrono::milliseconds(100);
+      query::QueryExecutor solo(&g, &csr, opts);
+      auto result = solo.Execute(queries[1]);
+      EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+          << result.status();
+
+      opts.deadline = steady_clock::now() + std::chrono::milliseconds(100);
+      auto fused = query::ExecuteFusedMatch(g, csr, members, opts);
+      ASSERT_EQ(fused.size(), 2u);
+      EXPECT_EQ(fused[0].status().code(), StatusCode::kResourceExhausted)
+          << fused[0].status();
+      EXPECT_EQ(fused[1].status().code(), StatusCode::kDeadlineExceeded)
+          << fused[1].status();
+    }
   }
 }
 

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +25,8 @@
 #include "graph/delta.h"
 #include "graph/property_graph.h"
 #include "query/executor.h"
+#include "query/fused_runner.h"
+#include "query/parser.h"
 
 namespace kaskade {
 namespace {
@@ -97,9 +102,18 @@ GraphDelta RandomBatch(const PropertyGraph& g, std::mt19937_64* rng,
 }
 
 // ---------------------------------------------------------------------------
-// Executor scatter-gather: sharded output is byte-identical (row order
-// included) to the unsharded table for the solo and parallel backends.
+// Executor scatter-gather: sharded and parallel output is byte-identical
+// (row order included) to the sequential unsharded table, for solo
+// queries and for every member of a fused group.
 // ---------------------------------------------------------------------------
+
+void ExpectSameRows(const query::Table& expected, const query::Table& got,
+                    const std::string& context) {
+  ASSERT_EQ(expected.num_rows(), got.num_rows()) << context;
+  for (size_t r = 0; r < expected.num_rows(); ++r) {
+    ASSERT_EQ(expected.rows()[r], got.rows()[r]) << context << " row " << r;
+  }
+}
 
 TEST(ShardingTest, ShardedBackendsMatchUnshardedAcrossMutations) {
   PropertyGraph g = MakeShardableGraph();
@@ -108,6 +122,24 @@ TEST(ShardingTest, ShardedBackendsMatchUnshardedAcrossMutations) {
   for (EdgeId e = 0; e < static_cast<EdgeId>(g.NumEdges()); ++e) {
     live.push_back(e);
   }
+  // A fused group of same-shape members. The last one matches every
+  // WRITES_TO edge; the row limit below sits under its row count and at
+  // or above every sibling's, so it alone must fail.
+  const std::vector<std::string> group_texts = {
+      "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU > 80 RETURN j, f",
+      "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU > 60 RETURN j, f",
+      "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU > 40 RETURN j, f",
+      "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU > 0 RETURN j, f",
+  };
+  std::vector<query::Query> group_queries;
+  std::vector<const query::MatchQuery*> members;
+  for (const std::string& text : group_texts) {
+    auto parsed = query::ParseQueryText(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    group_queries.push_back(std::move(*parsed));
+  }
+  for (const query::Query& q : group_queries) members.push_back(&q.match());
+  const size_t over_limit = members.size() - 1;
 
   constexpr int kSteps = 5;
   for (int step = 0; step < kSteps; ++step) {
@@ -119,25 +151,49 @@ TEST(ShardingTest, ShardedBackendsMatchUnshardedAcrossMutations) {
     }
     CsrGraph csr = CsrGraph::Build(g);
     query::QueryExecutor oracle(&g, &csr);  // shards = 1, sequential
+    std::vector<query::Table> expected;
     for (const char* text : kShardQueries) {
-      auto expected = oracle.ExecuteText(text);
-      ASSERT_TRUE(expected.ok()) << text << ": " << expected.status();
-      for (size_t shards : {2u, 4u}) {
-        for (size_t workers : {1u, 4u}) {
-          query::ExecutorOptions opts;
-          opts.shards = shards;
-          opts.parallelism = workers;
-          query::QueryExecutor sharded(&g, &csr, opts);
-          auto got = sharded.ExecuteText(text);
-          ASSERT_TRUE(got.ok()) << text << ": " << got.status();
-          ASSERT_EQ(expected->num_rows(), got->num_rows())
-              << text << " shards=" << shards << " workers=" << workers
-              << " step " << step;
-          for (size_t r = 0; r < expected->num_rows(); ++r) {
-            ASSERT_EQ(expected->rows()[r], got->rows()[r])
-                << text << " row " << r << " shards=" << shards
-                << " workers=" << workers << " step " << step;
+      auto solo = oracle.ExecuteText(text);
+      ASSERT_TRUE(solo.ok()) << text << ": " << solo.status();
+      expected.push_back(std::move(*solo));
+    }
+    std::vector<query::Table> expected_members;
+    size_t row_limit = 0;
+    for (size_t m = 0; m < group_queries.size(); ++m) {
+      auto solo = oracle.Execute(group_queries[m]);
+      ASSERT_TRUE(solo.ok()) << group_texts[m] << ": " << solo.status();
+      if (m != over_limit) row_limit = std::max(row_limit, solo->num_rows());
+      expected_members.push_back(std::move(*solo));
+    }
+    ASSERT_GT(expected_members[over_limit].num_rows(), row_limit);
+
+    for (size_t shards : {1u, 2u, 4u}) {
+      for (size_t workers : {1u, 4u}) {
+        query::ExecutorOptions opts;
+        opts.shards = shards;
+        opts.parallelism = workers;
+        const std::string config = " shards=" + std::to_string(shards) +
+                                   " workers=" + std::to_string(workers) +
+                                   " step " + std::to_string(step);
+        query::QueryExecutor sharded(&g, &csr, opts);
+        for (size_t q = 0; q < std::size(kShardQueries); ++q) {
+          auto got = sharded.ExecuteText(kShardQueries[q]);
+          ASSERT_TRUE(got.ok()) << kShardQueries[q] << ": " << got.status();
+          ExpectSameRows(expected[q], *got, kShardQueries[q] + config);
+        }
+
+        opts.max_rows = row_limit;
+        auto fused = query::ExecuteFusedMatch(g, csr, members, opts);
+        ASSERT_EQ(fused.size(), members.size());
+        for (size_t m = 0; m < members.size(); ++m) {
+          const std::string context = group_texts[m] + config;
+          if (m == over_limit) {
+            EXPECT_EQ(fused[m].status().code(), StatusCode::kResourceExhausted)
+                << context << ": " << fused[m].status();
+            continue;
           }
+          ASSERT_TRUE(fused[m].ok()) << context << ": " << fused[m].status();
+          ExpectSameRows(expected_members[m], *fused[m], context);
         }
       }
     }

@@ -308,6 +308,7 @@ int main() {
                   t.views_ready, t.views_quarantined);
       std::printf("plan cache: %zu hits, %zu misses\n", t.plan_cache_hits,
                   t.plan_cache_misses);
+      std::printf("base stats refreshes: %zu\n", t.base_stats_refreshes);
       std::printf("snapshots: %zu hits, %zu patches, %zu full builds, "
                   "%zu build failures\n",
                   t.snapshot_hits, t.snapshot_patches,

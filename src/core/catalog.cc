@@ -10,25 +10,21 @@ namespace kaskade::core {
 
 namespace {
 
-/// Recomputes `entry`'s statistics and records the live counts they
-/// were computed at.
-void RefreshStats(CatalogEntry* entry) {
-  entry->stats = graph::GraphStats::Compute(entry->view.graph);
-  entry->stats_live_vertices = entry->view.graph.NumLiveVertices();
-  entry->stats_live_edges = entry->view.graph.NumLiveEdges();
-}
-
-/// True when the view drifted far enough (>10%, with a small-view
-/// floor) from the state its statistics were computed at that plan
-/// costing would be misled.
-bool StatsAreStale(const CatalogEntry& entry) {
+/// True when `g` drifted far enough (>10%, with a small-graph floor)
+/// from the live counts `stats` was computed at that plan costing would
+/// be misled. The one refresh rule for base and view statistics.
+bool StatsAreStale(const graph::GraphStats& stats,
+                   const graph::PropertyGraph& g) {
   auto drifted = [](size_t now, size_t then) {
     size_t diff = now > then ? now - then : then - now;
     return diff * 10 > then + 32;
   };
-  return drifted(entry.view.graph.NumLiveVertices(),
-                 entry.stats_live_vertices) ||
-         drifted(entry.view.graph.NumLiveEdges(), entry.stats_live_edges);
+  return drifted(g.NumLiveVertices(), stats.num_vertices()) ||
+         drifted(g.NumLiveEdges(), stats.num_edges());
+}
+
+void RefreshStats(CatalogEntry* entry) {
+  entry->stats = graph::GraphStats::Compute(entry->view.graph);
 }
 
 /// Re-materializes `entry` over `base` and re-attaches a maintainer
@@ -53,6 +49,38 @@ constexpr size_t kMaxTrailBatches = 64;
 constexpr size_t kMaxTrailRemovals = 8192;
 
 }  // namespace
+
+ViewCatalog::BaseShape ViewCatalog::ShapeOfBase() const {
+  return BaseShape{base_->NumVertices(), base_->NumEdges(),
+                   base_->NumLiveVertices(), base_->NumLiveEdges()};
+}
+
+void ViewCatalog::NoteBaseShapeLocked(bool force) {
+  announced_base_shape_ = ShapeOfBase();
+  if (!force && !StatsAreStale(*base_stats_, *base_)) return;
+  base_stats_ = std::make_shared<const graph::GraphStats>(
+      graph::GraphStats::Compute(*base_));
+  base_stats_refreshes_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ViewCatalog::NoteBaseGraphChanged() {
+  std::unique_lock lock(mu_);
+  NoteBaseShapeLocked(/*force=*/true);
+  BumpGeneration();
+  InvalidateSnapshot(kInvalidViewHandle);
+}
+
+std::shared_ptr<const graph::GraphStats> ViewCatalog::BaseStats() const {
+  {
+    std::shared_lock lock(mu_);
+    if (ShapeOfBase() == announced_base_shape_) return base_stats_;
+  }
+  // The base changed behind the catalog's back. Cost this call on exact
+  // statistics and keep nothing: the next announcement refreshes the
+  // catalog's copy.
+  return std::make_shared<const graph::GraphStats>(
+      graph::GraphStats::Compute(*base_));
+}
 
 void ViewCatalog::BumpGeneration() {
   const uint64_t gen = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -346,6 +374,8 @@ Status ViewCatalog::RefreshAll() {
   // Unconditional: even a no-op refresh may follow base-graph changes
   // that shifted raw-plan costs.
   BumpGeneration();
+  // A base changed behind the catalog's back gets exact statistics.
+  NoteBaseShapeLocked(/*force=*/ShapeOfBase() != announced_base_shape_);
   for (const auto& entry : entries_) {
     // In-flight builds catch up at publish time; there is no view graph
     // to refresh yet.
@@ -360,7 +390,7 @@ Status ViewCatalog::RefreshAll() {
                 stats->edges_updated + stats->vertices_added +
                 stats->vertices_removed ==
                 0 &&
-            !StatsAreStale(*entry)) {
+            !StatsAreStale(entry->stats, entry->view.graph)) {
           // Nothing changed now and no drift was deferred by the
           // delta path: stats are exact already.
           continue;
@@ -401,6 +431,7 @@ Result<DeltaMaintenanceReport> ViewCatalog::ApplyBaseDelta(
   // on the base snapshot's delta trail so the next BaseSnapshot patches
   // instead of rebuilding.
   NoteBaseDelta(footprint);
+  NoteBaseShapeLocked(/*force=*/false);
   DeltaMaintenanceReport report;
   const size_t inserts = delta.edge_inserts.size();
   const size_t removals = delta.edge_removals.size();
@@ -444,7 +475,8 @@ Result<DeltaMaintenanceReport> ViewCatalog::ApplyBaseDelta(
                                     stats->vertices_added +
                                     stats->vertices_removed !=
                                 0;
-        if (topology_changed && StatsAreStale(*entry)) {
+        if (topology_changed &&
+            StatsAreStale(entry->stats, entry->view.graph)) {
           RefreshStats(entry.get());
         }
         continue;

@@ -4,11 +4,24 @@
 ///
 /// The catalog *owns* each materialized view together with its statistics
 /// (used for cost-based plan choice) and its incremental maintainer
-/// (where the view kind supports one). Entries live behind stable
-/// `ViewHandle` ids and never move in memory — they are held by
-/// `std::unique_ptr` — so maintainers and in-flight readers can hold
-/// pointers into them without the pointer-stability gymnastics the old
-/// monolithic facade needed (a `std::deque` that must never reallocate).
+/// (where the view kind supports one). It also owns the base graph's
+/// statistics, so the planner costs raw and rewritten plans from one
+/// place without recomputing anything per plan.
+///
+/// Statistics refresh rule (base graph and views alike): they are
+/// computed when the graph enters the catalog and recomputed, at
+/// O(|V| log |V|), only once live vertex or edge counts drift more than
+/// 10% (plus a small-graph floor) from the counts they were computed at
+/// — plan costing tolerates that much drift. `ApplyBaseDelta` applies
+/// the rule after each batch. `NoteBaseGraphChanged` always recomputes
+/// the base's statistics; `RefreshAll` recomputes those of changed views,
+/// and of a base changed without being announced, exactly.
+///
+/// Entries live behind stable `ViewHandle` ids and never move in memory
+/// — they are held by `std::unique_ptr` — so maintainers and in-flight
+/// readers can hold pointers into them without the pointer-stability
+/// gymnastics the old monolithic facade needed (a `std::deque` that
+/// must never reallocate).
 ///
 /// Every mutation — registering a view, refreshing views, dropping a
 /// view, or an announced base-graph change — bumps a monotonic
@@ -93,14 +106,10 @@ const char* ViewStateName(ViewState state);
 struct CatalogEntry {
   ViewHandle handle = kInvalidViewHandle;
   MaterializedView view;
+  /// Refreshed under the catalog's drift rule (see the file comment);
+  /// its live counts are the ones the rule measures drift from.
   graph::GraphStats stats;
   std::unique_ptr<ViewMaintainer> maintainer;
-  /// Live view counts when `stats` was last computed. On the per-delta
-  /// path statistics may drift ~10% before the O(V log V) recompute
-  /// runs again (plan costing tolerates that); `RefreshAll` always
-  /// recomputes changed views exactly.
-  size_t stats_live_vertices = 0;
-  size_t stats_live_edges = 0;
   /// Lifecycle state; only `kReady` entries are planner-visible. For a
   /// `kBuilding` placeholder `view.graph` is empty and `maintainer` is
   /// null until `Publish`.
@@ -142,6 +151,9 @@ class ViewCatalog {
                        size_t shards = 1)
       : base_(base),
         patch_options_(patch_options),
+        base_stats_(std::make_shared<const graph::GraphStats>(
+            graph::GraphStats::Compute(*base))),
+        announced_base_shape_(ShapeOfBase()),
         effective_dirty_fraction_(patch_options.max_dirty_fraction),
         store_(shards >= 2 ? std::make_unique<SegmentStore>(base, shards)
                            : nullptr) {}
@@ -224,10 +236,22 @@ class ViewCatalog {
   /// Announces an out-of-band base-graph change (e.g. appended edges)
   /// so generation-keyed caches are invalidated before the next refresh.
   /// The base graph's snapshot trail cannot describe an arbitrary
-  /// mutation, so the next `BaseSnapshot` is a full rebuild.
-  void NoteBaseGraphChanged() {
-    BumpGeneration();
-    InvalidateSnapshot(kInvalidViewHandle);
+  /// mutation, so the next `BaseSnapshot` is a full rebuild, and the
+  /// base's statistics are recomputed here.
+  void NoteBaseGraphChanged();
+
+  /// Statistics of the base graph for plan costing: the catalog's copy,
+  /// kept under the drift rule (see the file comment), with no per-call
+  /// work. When the base graph changed without being announced to the
+  /// catalog (`ApplyBaseDelta` / `NoteBaseGraphChanged`), the returned
+  /// statistics are computed for this call only; nothing is cached on
+  /// the reader side. Callers hold off concurrent base mutation for the
+  /// duration of the call (the Engine's reader lock does this).
+  std::shared_ptr<const graph::GraphStats> BaseStats() const;
+
+  /// Times the base's statistics were recomputed since construction.
+  size_t base_stats_refreshes() const {
+    return base_stats_refreshes_.load(std::memory_order_relaxed);
   }
 
   /// Monotonic counter: strictly increases on every catalog mutation or
@@ -442,6 +466,23 @@ class ViewCatalog {
   /// request onto the full-rebuild path.
   void InvalidateSnapshot(ViewHandle handle);
 
+  /// The base graph's id-space and live counts. Any topology change
+  /// moves at least one of them: inserts grow the id space, removals
+  /// shrink a live count.
+  struct BaseShape {
+    size_t vertices = 0;
+    size_t edges = 0;
+    size_t live_vertices = 0;
+    size_t live_edges = 0;
+    bool operator==(const BaseShape&) const = default;
+  };
+  BaseShape ShapeOfBase() const;
+
+  /// Records that every base change up to now was announced, and
+  /// recomputes the base's statistics when `force` is set or they
+  /// drifted past the rule. Callers hold `mu_` exclusively.
+  void NoteBaseShapeLocked(bool force);
+
   /// Quarantine with `mu_` already held exclusively.
   void QuarantineLocked(CatalogEntry* entry, Status reason);
 
@@ -456,6 +497,11 @@ class ViewCatalog {
   std::vector<std::unique_ptr<CatalogEntry>> entries_;
   ViewHandle next_handle_ = 1;
   std::atomic<uint64_t> generation_{1};
+  /// Base statistics and the base shape at the last announced change.
+  /// Guarded by `mu_`.
+  std::shared_ptr<const graph::GraphStats> base_stats_;
+  BaseShape announced_base_shape_;
+  std::atomic<size_t> base_stats_refreshes_{0};
   /// Snapshot cache. Guarded by its own mutex: snapshot builds happen on
   /// the reader path (under the Engine's shared lock), where `mu_` may
   /// be held shared by many threads at once.

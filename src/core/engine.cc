@@ -614,6 +614,7 @@ EngineTelemetry Engine::TelemetrySnapshot() const {
   t.views_ready = catalog_.num_ready();
   t.plan_cache_hits = planner_.cache_hits();
   t.plan_cache_misses = planner_.cache_misses();
+  t.base_stats_refreshes = catalog_.base_stats_refreshes();
   t.snapshot_hits = catalog_.snapshot_hits();
   t.snapshot_patches = catalog_.snapshot_patches();
   t.snapshot_full_builds = catalog_.snapshot_full_builds();
@@ -1090,8 +1091,11 @@ Result<ExecutionResult> Engine::RunPlan(
   // degrades this execution to the legacy backend — slower, still exact.
   query::QueryExecutor executor(target, snapshot.get(), exec_options);
   query::ExecutionTiming timing;
+  // A bare MATCH runs the AST the planner kept; SELECT shells re-parse.
   Result<query::Table> table =
-      executor.ExecuteText(plan.executed_query, &timing);
+      plan.match_ast != nullptr
+          ? executor.Execute(*plan.match_ast, &timing)
+          : executor.ExecuteText(plan.executed_query, &timing);
   // Count clock tests even for failed (expired) executions — those are
   // exactly the ones the overload telemetry is about.
   deadline_checks_.fetch_add(timing.deadline_checks,

@@ -269,6 +269,10 @@ struct EngineTelemetry {
   size_t views_ready = 0;
   size_t plan_cache_hits = 0;
   size_t plan_cache_misses = 0;
+  /// Recomputations of the base graph's statistics since construction
+  /// (drift past 10% on the delta path, or an announced out-of-band
+  /// change); plan-cache misses never compute any.
+  size_t base_stats_refreshes = 0;
   size_t snapshot_hits = 0;
   size_t snapshot_patches = 0;
   size_t snapshot_full_builds = 0;

@@ -72,10 +72,11 @@ Planner::Planner(PlannerOptions options)
 Status Planner::ChoosePlan(const query::Query& query,
                            const graph::PropertyGraph& base,
                            const ViewCatalog& catalog, Plan* plan) const {
-  // Plan 0: the raw graph.
-  graph::GraphStats base_stats = graph::GraphStats::Compute(base);
+  // Plan 0: the raw graph, costed on the catalog's base statistics.
+  const std::shared_ptr<const graph::GraphStats> base_stats =
+      catalog.BaseStats();
   plan->estimated_cost =
-      query::EstimateEvalCost(query, base, base_stats, options_.eval_cost);
+      query::EstimateEvalCost(query, base, *base_stats, options_.eval_cost);
   plan->view_name.clear();
   plan->executed_query = query.ToString();
   plan->canonical_query = plan->executed_query;

@@ -6,6 +6,16 @@
 /// rewriting per catalog entry (the paper's single-view-per-rewrite
 /// restriction) and picks the cheapest by estimated evaluation cost.
 ///
+/// Costing reads statistics; it never computes them. The `ViewCatalog`
+/// owns the base graph's statistics and every view's, and refreshes
+/// both under one drift rule (catalog.h): computed when the graph
+/// enters the catalog, recomputed once live vertex or edge counts drift
+/// more than 10%, and always after an announced out-of-band base
+/// change. A plan-cache miss therefore costs parsing plus rewriting,
+/// not an O(|V| log |V|) statistics pass. Only a base graph mutated
+/// without telling the catalog is costed on statistics computed for
+/// that one call.
+///
 /// Plan choice is cached per `(query text, catalog generation)` — the
 /// paper amortizes constraint extraction and view inference over
 /// repeated runs of the same query (§VII-A). Keying by the catalog's
@@ -58,8 +68,9 @@ struct Plan {
   /// (query/fused_runner.h). Empty = not fusable (SELECT shell, parse
   /// shapes fusion does not cover).
   std::string shape_key;
-  /// Parsed AST of `executed_query` when `shape_key` is set — what the
-  /// fused runner consumes, saving a per-member re-parse. Shared (and
+  /// Parsed AST of `executed_query` when `shape_key` is set — what solo
+  /// execution and the fused runner consume, saving a re-parse per
+  /// execution. Shared (and
   /// immutable) so `Plan` stays cheaply copyable through the LRU cache.
   std::shared_ptr<const query::MatchQuery> match_ast;
 };
@@ -87,7 +98,8 @@ class Planner {
   explicit Planner(PlannerOptions options = {});
 
   /// Uncached plan search: considers the raw graph and every catalog
-  /// entry, returns the cheapest plan.
+  /// entry, returns the cheapest plan. `base` is the graph `catalog` is
+  /// bound to; the raw plan is costed on `catalog.BaseStats()`.
   Status ChoosePlan(const query::Query& query,
                     const graph::PropertyGraph& base,
                     const ViewCatalog& catalog, Plan* plan) const;

@@ -23,16 +23,19 @@ void WorkloadTracker::Record(const std::string& canonical_text,
         stripe.entries.find(canonical_text) == stripe.entries.end()) {
       return;
     }
-    QueryObservation& obs = stripe.entries[canonical_text];
-    if (obs.executions == 0) obs.query_text = canonical_text;
-    ++obs.executions;
-    obs.total_latency_us += latency_us;
-    obs.total_estimated_cost += estimated_cost;
+    Aggregate& agg = stripe.entries[canonical_text];
+    ++agg.executions;
+    agg.total_latency_us += latency_us;
+    agg.total_estimated_cost += estimated_cost;
     if (used_view) {
-      ++obs.view_hits;
-      obs.last_view = view_name;
+      ++agg.view_hits;
+      auto name = stripe.view_names.find(view_name);
+      if (name == stripe.view_names.end()) {
+        name = stripe.view_names.insert(view_name).first;
+      }
+      agg.last_view = &*name;
     }
-    if (fused) ++obs.fused_hits;
+    if (fused) ++agg.fused_hits;
   }
   total_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -41,9 +44,16 @@ WorkloadSnapshot WorkloadTracker::Snapshot() const {
   WorkloadSnapshot snapshot;
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
-    for (const auto& [text, obs] : stripe.entries) {
-      snapshot.entries.push_back(obs);
-      snapshot.total_executions += obs.executions;
+    for (const auto& [text, agg] : stripe.entries) {
+      QueryObservation& obs = snapshot.entries.emplace_back();
+      obs.query_text = text;
+      obs.executions = agg.executions;
+      obs.total_latency_us = agg.total_latency_us;
+      obs.total_estimated_cost = agg.total_estimated_cost;
+      obs.view_hits = agg.view_hits;
+      if (agg.last_view != nullptr) obs.last_view = *agg.last_view;
+      obs.fused_hits = agg.fused_hits;
+      snapshot.total_executions += agg.executions;
     }
   }
   std::sort(snapshot.entries.begin(), snapshot.entries.end(),
@@ -60,6 +70,7 @@ void WorkloadTracker::Clear() {
   for (Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
     stripe.entries.clear();
+    stripe.view_names.clear();
   }
 }
 
@@ -68,15 +79,15 @@ void WorkloadTracker::Decay(double factor) {
   for (Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
     for (auto it = stripe.entries.begin(); it != stripe.entries.end();) {
-      QueryObservation& obs = it->second;
+      Aggregate& agg = it->second;
       // Truncating keeps counts integral and guarantees progress: any
       // factor < 1 eventually drives an un-refreshed count to zero.
-      obs.executions = uint64_t(double(obs.executions) * factor);
-      obs.view_hits = uint64_t(double(obs.view_hits) * factor);
-      obs.fused_hits = uint64_t(double(obs.fused_hits) * factor);
-      obs.total_latency_us *= factor;
-      obs.total_estimated_cost *= factor;
-      if (obs.executions == 0) {
+      agg.executions = uint64_t(double(agg.executions) * factor);
+      agg.view_hits = uint64_t(double(agg.view_hits) * factor);
+      agg.fused_hits = uint64_t(double(agg.fused_hits) * factor);
+      agg.total_latency_us *= factor;
+      agg.total_estimated_cost *= factor;
+      if (agg.executions == 0) {
         it = stripe.entries.erase(it);
       } else {
         ++it;

@@ -21,6 +21,11 @@
 /// snapshot is being read, and the snapshot is a consistent per-stripe
 /// (not globally atomic) merge, which is all frequency-based advice
 /// needs.
+///
+/// Memory: each distinct text is stored once, as its stripe's map key,
+/// next to plain counters; view names are interned per stripe, so a
+/// view hit costs no per-entry string. `Snapshot` assembles the full
+/// `QueryObservation`s.
 
 #ifndef KASKADE_CORE_WORKLOAD_TRACKER_H_
 #define KASKADE_CORE_WORKLOAD_TRACKER_H_
@@ -30,6 +35,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace kaskade::core {
@@ -109,9 +115,21 @@ class WorkloadTracker {
   size_t distinct_queries() const;
 
  private:
+  /// One text's aggregates; the text itself is the map key.
+  struct Aggregate {
+    uint64_t executions = 0;
+    double total_latency_us = 0;
+    double total_estimated_cost = 0;
+    uint64_t view_hits = 0;
+    uint64_t fused_hits = 0;
+    /// Points into the stripe's `view_names`; null before any view hit.
+    const std::string* last_view = nullptr;
+  };
   struct Stripe {
     mutable std::mutex mu;
-    std::unordered_map<std::string, QueryObservation> entries;
+    std::unordered_map<std::string, Aggregate> entries;
+    /// Interned view names (node-based: element addresses are stable).
+    std::unordered_set<std::string> view_names;
   };
 
   Stripe& StripeFor(const std::string& text) const {

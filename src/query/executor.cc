@@ -462,6 +462,18 @@ Result<Table> QueryExecutor::ExecuteSelect(const SelectQuery& select,
 
 Result<Table> QueryExecutor::Execute(const Query& query,
                                      ExecutionTiming* timing) {
+  return query.is_match() ? Evaluate(&query.match(), nullptr, timing)
+                          : Evaluate(nullptr, &query.select(), timing);
+}
+
+Result<Table> QueryExecutor::Execute(const MatchQuery& match,
+                                     ExecutionTiming* timing) {
+  return Evaluate(&match, nullptr, timing);
+}
+
+Result<Table> QueryExecutor::Evaluate(const MatchQuery* match,
+                                      const SelectQuery* select,
+                                      ExecutionTiming* timing) {
   const auto started = std::chrono::steady_clock::now();
   ExecutionTiming stats;
   Result<Table> result = [&]() -> Result<Table> {
@@ -472,8 +484,8 @@ Result<Table> QueryExecutor::Execute(const Query& query,
       stats.deadline_checks = 1;
       return internal::DeadlineExceededError();
     }
-    return query.is_match() ? ExecuteMatch(query.match(), &stats)
-                            : ExecuteSelect(query.select(), &stats);
+    return match != nullptr ? ExecuteMatch(*match, &stats)
+                            : ExecuteSelect(*select, &stats);
   }();
   if (timing != nullptr) {
     timing->elapsed_us =

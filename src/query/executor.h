@@ -125,12 +125,21 @@ class QueryExecutor {
   /// measured evaluation wall clock (set on success and on failure).
   Result<Table> Execute(const Query& query, ExecutionTiming* timing = nullptr);
 
+  /// Runs a parsed bare MATCH (e.g. a plan's cached AST), exactly as
+  /// `Execute` runs a `Query` holding it.
+  Result<Table> Execute(const MatchQuery& match,
+                        ExecutionTiming* timing = nullptr);
+
   /// Parses and runs `text`; `timing` covers evaluation only, not the
   /// parse.
   Result<Table> ExecuteText(const std::string& text,
                             ExecutionTiming* timing = nullptr);
 
  private:
+  /// Times one evaluation and applies the entry deadline check; exactly
+  /// one of `match` and `select` is non-null.
+  Result<Table> Evaluate(const MatchQuery* match, const SelectQuery* select,
+                         ExecutionTiming* timing);
   /// `stats` accumulates expansions + deadline checks (never null).
   Result<Table> ExecuteMatch(const MatchQuery& match, ExecutionTiming* stats);
   Result<Table> ExecuteSelect(const SelectQuery& select,

@@ -813,6 +813,43 @@ TEST(WorkloadTrackerTest, DecayFreesStripeCapacityAtTheCap) {
   EXPECT_EQ(tracker.Snapshot().entries[0].query_text, "new_hot");
 }
 
+TEST(WorkloadTrackerTest, SnapshotRebuildsEntriesAfterDecay) {
+  // Texts are stored once (as stripe keys) and view names interned; the
+  // snapshot must still hand back every field, across stripes.
+  WorkloadTracker tracker(/*stripes=*/4);
+  for (int i = 0; i < 4; ++i) {
+    tracker.Record("q_view", 10.0, 3.0, /*used_view=*/true,
+                   i < 2 ? "khop2[Job->Job]" : "khop2[File->File]");
+  }
+  for (int i = 0; i < 6; ++i) {
+    tracker.Record("q_raw_" + std::to_string(i % 3), 20.0, 5.0, false, "",
+                   /*fused=*/true);
+  }
+  tracker.Decay(0.5);
+
+  WorkloadSnapshot snapshot = tracker.Snapshot();
+  ASSERT_EQ(snapshot.entries.size(), 4u);
+  EXPECT_EQ(snapshot.total_executions, 5u);
+  const QueryObservation& view = snapshot.entries[0];
+  EXPECT_EQ(view.query_text, "q_view");
+  EXPECT_EQ(view.executions, 2u);
+  EXPECT_EQ(view.view_hits, 2u);
+  EXPECT_EQ(view.last_view, "khop2[File->File]");
+  EXPECT_EQ(view.fused_hits, 0u);
+  EXPECT_DOUBLE_EQ(view.total_latency_us, 20.0);
+  EXPECT_DOUBLE_EQ(view.total_estimated_cost, 6.0);
+  for (int i = 0; i < 3; ++i) {
+    const QueryObservation& raw = snapshot.entries[size_t(i) + 1];
+    EXPECT_EQ(raw.query_text, "q_raw_" + std::to_string(i));
+    EXPECT_EQ(raw.executions, 1u);
+    EXPECT_EQ(raw.fused_hits, 1u);
+    EXPECT_EQ(raw.view_hits, 0u);
+    EXPECT_EQ(raw.last_view, "");
+    EXPECT_DOUBLE_EQ(raw.total_latency_us, 20.0);
+    EXPECT_DOUBLE_EQ(raw.total_estimated_cost, 5.0);
+  }
+}
+
 TEST(AdvisorTest, DecayedColdQueryLosesItsView) {
   // Same story as ResetWorkloadLetsQuietViewsBecomeDropCandidates, but
   // driven by EngineOptions::workload_decay instead of an explicit

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -607,6 +608,168 @@ TEST(ConcurrencyTest, ApplyDeltaRacingReadersSeesOnlyDeltaBoundaries) {
   ASSERT_TRUE(final_result.ok());
   EXPECT_TRUE(final_result->used_view);
   EXPECT_EQ(final_result->table.num_rows(), final_rows);
+}
+
+// ---------------------------------------------------------------------------
+// Base statistics: owned by the catalog, refreshed under the drift rule
+// ---------------------------------------------------------------------------
+
+const char kChainQuery[] =
+    "MATCH (x:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(y:Job) "
+    "RETURN x, y";
+
+/// Count-preserving churn: removes the oldest live edge and re-inserts
+/// one with the same endpoints and type.
+graph::GraphDelta SwapOldestEdge(const PropertyGraph& g) {
+  graph::EdgeId e = 0;
+  while (!g.IsEdgeLive(e)) ++e;
+  graph::GraphDelta delta;
+  delta.RemoveEdge(e);
+  delta.AddEdge(g.Edge(e).source, g.Edge(e).target, g.EdgeTypeName(e));
+  return delta;
+}
+
+/// One batch of Job->File edges that grows |E| by about 20%, spread
+/// round-robin over the jobs so their out-degree profile moves.
+graph::GraphDelta GrowJobEdges(const PropertyGraph& g) {
+  std::vector<VertexId> jobs =
+      g.VerticesOfType(g.schema().FindVertexType("Job"));
+  std::vector<VertexId> files =
+      g.VerticesOfType(g.schema().FindVertexType("File"));
+  graph::GraphDelta delta;
+  const size_t count = g.NumLiveEdges() / 5 + 8;
+  for (size_t i = 0; i < count; ++i) {
+    delta.AddEdge(jobs[i % jobs.size()], files[(i * 7) % files.size()],
+                  "WRITES_TO");
+  }
+  return delta;
+}
+
+/// The plan a planner picks for `text` over a catalog built fresh on
+/// `base`, i.e. over freshly computed base statistics.
+Plan FreshPlan(const PropertyGraph& base, const std::string& text) {
+  ViewCatalog fresh(&base);
+  Planner planner;
+  Plan plan;
+  auto query = query::ParseQueryText(text);
+  EXPECT_TRUE(query.ok());
+  EXPECT_TRUE(planner.ChoosePlan(*query, base, fresh, &plan).ok());
+  return plan;
+}
+
+/// Runs `text` on `engine` and expects the plan it ran to equal the
+/// plan over freshly computed statistics; returns its estimated cost.
+double ExpectPlanOnFreshStats(Engine* engine, const std::string& text) {
+  auto result = engine->Execute(text);
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (!result.ok()) return 0;
+  const Plan fresh = FreshPlan(engine->base_graph(), text);
+  EXPECT_EQ(result->view_name, fresh.view_name);
+  EXPECT_EQ(result->executed_query, fresh.executed_query);
+  EXPECT_DOUBLE_EQ(result->estimated_cost, fresh.estimated_cost);
+  return result->estimated_cost;
+}
+
+TEST(BaseStatsTest, RefreshFollowsTheDriftRule) {
+  Engine engine(SmallProv());
+  auto refreshes = [&] {
+    return engine.TelemetrySnapshot().base_stats_refreshes;
+  };
+  ASSERT_EQ(refreshes(), 0u);
+  const double cost_before = ExpectPlanOnFreshStats(&engine, kChainQuery);
+
+  // Count-preserving edge swaps never drift the live counts.
+  const size_t edges = engine.base_graph().NumLiveEdges();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(engine.ApplyDelta(SwapOldestEdge(engine.base_graph())).ok());
+    ASSERT_TRUE(engine.Execute(kChainQuery).ok());
+  }
+  EXPECT_EQ(engine.base_graph().NumLiveEdges(), edges);
+  EXPECT_EQ(refreshes(), 0u);
+
+  // One batch growing |E| past 10%: exactly one refresh, and the plan
+  // is costed on exact statistics again.
+  ASSERT_TRUE(engine.ApplyDelta(GrowJobEdges(engine.base_graph())).ok());
+  EXPECT_EQ(refreshes(), 1u);
+  const double cost_after = ExpectPlanOnFreshStats(&engine, kChainQuery);
+  EXPECT_NE(cost_after, cost_before);  // the statistics moved the plan
+
+  // An announced out-of-band change always refreshes.
+  ASSERT_TRUE(AppendJob(&engine).ok());
+  EXPECT_EQ(refreshes(), 2u);
+  ExpectPlanOnFreshStats(&engine, kChainQuery);
+}
+
+TEST(BaseStatsTest, UnannouncedBaseChangeIsCostedFreshWithoutCaching) {
+  PropertyGraph base = SmallProv();
+  ViewCatalog catalog(&base);
+  const std::shared_ptr<const graph::GraphStats> owned = catalog.BaseStats();
+  EXPECT_EQ(catalog.BaseStats(), owned);  // no per-call work
+
+  // Mutated behind the catalog's back: each call computes its own.
+  const VertexId job =
+      base.VerticesOfType(base.schema().FindVertexType("Job")).front();
+  const VertexId file =
+      base.VerticesOfType(base.schema().FindVertexType("File")).front();
+  ASSERT_TRUE(base.AddEdge(job, file, "WRITES_TO").ok());
+  const std::shared_ptr<const graph::GraphStats> fresh = catalog.BaseStats();
+  EXPECT_NE(fresh, owned);
+  EXPECT_EQ(fresh->num_edges(), base.NumLiveEdges());
+  EXPECT_NE(catalog.BaseStats(), fresh);
+  EXPECT_EQ(catalog.base_stats_refreshes(), 0u);
+
+  // Announcing the change makes the catalog's copy current again.
+  catalog.NoteBaseGraphChanged();
+  EXPECT_EQ(catalog.base_stats_refreshes(), 1u);
+  EXPECT_EQ(catalog.BaseStats()->num_edges(), base.NumLiveEdges());
+  EXPECT_EQ(catalog.BaseStats(), catalog.BaseStats());
+}
+
+TEST(ConcurrencyTest, PlanCacheMissesRaceBaseStatsRefresh) {
+  // Four readers plan a new text on every call (all plan-cache misses)
+  // while a writer churns the base and then crosses the drift
+  // threshold once.
+  Engine engine(SmallProv());
+  std::atomic<bool> stop{false};
+  std::atomic<int> reads{0};
+  std::atomic<int> reader_failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        const std::string text =
+            "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.name = 'job_" +
+            std::to_string(t * 1000000 + i) + "' RETURN j, f";
+        if (!engine.Execute(text).ok()) reader_failures.fetch_add(1);
+        reads.fetch_add(1);
+        // Leaves the writer gaps between shared-lock holds.
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    });
+  }
+  // Each delta waits for a few more reads, so every write lands among
+  // planning readers.
+  int reads_before_next = 4;
+  auto apply = [&](const graph::GraphDelta& delta) {
+    while (reads.load() < reads_before_next) std::this_thread::yield();
+    reads_before_next += 4;
+    return engine.ApplyDelta(delta).status();
+  };
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(apply(SwapOldestEdge(engine.base_graph())).ok());
+  }
+  ASSERT_TRUE(apply(GrowJobEdges(engine.base_graph())).ok());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(apply(SwapOldestEdge(engine.base_graph())).ok());
+  }
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(reader_failures.load(), 0);
+  EXPECT_EQ(engine.TelemetrySnapshot().base_stats_refreshes, 1u);
+  EXPECT_GT(engine.TelemetrySnapshot().plan_cache_misses, 0u);
+  // The swaps re-insert the edges they remove, so the statistics of
+  // the one refresh are still exact for the final graph.
+  ExpectPlanOnFreshStats(&engine, kChainQuery);
 }
 
 }  // namespace

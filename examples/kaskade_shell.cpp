@@ -309,6 +309,9 @@ int main() {
       std::printf("plan cache: %zu hits, %zu misses\n", t.plan_cache_hits,
                   t.plan_cache_misses);
       std::printf("base stats refreshes: %zu\n", t.base_stats_refreshes);
+      std::printf("traversal: %llu expansions, %llu index-seeded matches\n",
+                  static_cast<unsigned long long>(t.traversal_expansions),
+                  static_cast<unsigned long long>(t.index_seeded_matches));
       std::printf("snapshots: %zu hits, %zu patches, %zu full builds, "
                   "%zu build failures\n",
                   t.snapshot_hits, t.snapshot_patches,

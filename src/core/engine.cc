@@ -630,6 +630,8 @@ EngineTelemetry Engine::TelemetrySnapshot() const {
   t.fused_members = fused_members_.load(std::memory_order_relaxed);
   t.traversal_expansions =
       traversal_expansions_.load(std::memory_order_relaxed);
+  t.index_seeded_matches =
+      index_seeded_matches_.load(std::memory_order_relaxed);
   t.queries_shed = queries_shed_.load(std::memory_order_relaxed);
   t.queries_timed_out = queries_timed_out_.load(std::memory_order_relaxed);
   t.deadline_checks = deadline_checks_.load(std::memory_order_relaxed);
@@ -1100,6 +1102,9 @@ Result<ExecutionResult> Engine::RunPlan(
   // exactly the ones the overload telemetry is about.
   deadline_checks_.fetch_add(timing.deadline_checks,
                              std::memory_order_relaxed);
+  if (timing.index_seeded) {
+    index_seeded_matches_.fetch_add(1, std::memory_order_relaxed);
+  }
   if (!table.ok()) return table.status();
   if (entry != nullptr) *table = MapViewTableToBase(entry->view, std::move(*table));
   ExecutionResult result;
@@ -1215,6 +1220,9 @@ void Engine::RunFusedGroupLocked(
       *target, *snapshot, members, exec_options, &stats);
   deadline_checks_.fetch_add(stats.deadline_checks,
                              std::memory_order_relaxed);
+  if (stats.index_seeded) {
+    index_seeded_matches_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   fused_groups_.fetch_add(1, std::memory_order_relaxed);
   fused_members_.fetch_add(indices.size(), std::memory_order_relaxed);

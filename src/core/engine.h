@@ -294,6 +294,9 @@ struct EngineTelemetry {
   /// solo runs pay them N times, so diffing this around a batch phase
   /// measures what fusion saved.
   uint64_t traversal_expansions = 0;
+  /// CSR MATCH walks (solo executions and fused groups) whose top-level
+  /// seeds came from the equality seed index instead of a type scan.
+  uint64_t index_seeded_matches = 0;
   /// @}
   /// \name Overload & degradation (deadlines, shedding, quarantine).
   /// @{
@@ -930,6 +933,8 @@ class Engine {
   std::atomic<size_t> queries_timed_out_{0};
   /// mutable: accumulated by the const `RunPlan` on the reader path.
   mutable std::atomic<uint64_t> deadline_checks_{0};
+  /// mutable for the same reason as `deadline_checks_`.
+  mutable std::atomic<uint64_t> index_seeded_matches_{0};
   std::atomic<size_t> batch_worker_faults_{0};
 
   /// \name Periodic auto-advise trigger state.

@@ -271,19 +271,19 @@ ViewMaintainer::ViewMaintainer(const PropertyGraph* base,
   const PropertyGraph& vg = view_->graph;
   // Reverse vertex mapping (live view vertices only; a rebound view may
   // carry tombstones from earlier maintenance).
+  base_to_view_.assign(base_->NumVertices(), graph::kInvalidId);
   for (VertexId v = 0; v < vg.NumVertices(); ++v) {
     if (!vg.IsVertexLive(v)) continue;
-    base_to_view_.emplace(view_->view_to_base[v], v);
+    const VertexId b = view_->view_to_base[v];
+    if (b >= base_to_view_.size()) {
+      base_to_view_.resize(b + 1, graph::kInvalidId);
+    }
+    base_to_view_[b] = v;
   }
   if (IsConnector(def.kind)) {
     connector_type_ = vg.schema().FindEdgeType(def.EdgeName());
     source_type_ = base_->schema().FindVertexType(def.source_type);
     target_type_ = base_->schema().FindVertexType(def.target_type);
-    for (EdgeId e = 0; e < vg.NumEdges(); ++e) {
-      if (!vg.IsEdgeLive(e)) continue;
-      const EdgeRecord& rec = vg.Edge(e);
-      connector_edges_.emplace(std::make_pair(rec.source, rec.target), e);
-    }
   } else {
     // Filter summarizers: precompute keep masks (mirrors the
     // materializer's logic) and index view edges by base lineage.
@@ -362,10 +362,15 @@ ViewMaintainer::ViewMaintainer(const PropertyGraph* base,
   base_vertex_removals_seen_ = pin.removed_vertices;
 }
 
+VertexId ViewMaintainer::ViewVertexOf(VertexId base_vertex) const {
+  return base_vertex < base_to_view_.size() ? base_to_view_[base_vertex]
+                                            : graph::kInvalidId;
+}
+
 VertexId ViewMaintainer::ViewVertexFor(VertexId base_vertex,
                                        MaintenanceStats* stats) {
-  auto it = base_to_view_.find(base_vertex);
-  if (it != base_to_view_.end()) return it->second;
+  const VertexId existing = ViewVertexOf(base_vertex);
+  if (existing != graph::kInvalidId) return existing;
   PropertyGraph& vg = view_->graph;
   const std::string& type_name =
       base_->schema().vertex_type_name(base_->VertexType(base_vertex));
@@ -373,10 +378,30 @@ VertexId ViewMaintainer::ViewVertexFor(VertexId base_vertex,
   graph::PropertyMap props = base_->VertexProperties(base_vertex);
   props.Set("orig_id", PropertyValue(static_cast<int64_t>(base_vertex)));
   VertexId vid = vg.AddVertexOfType(view_type, std::move(props));
-  base_to_view_.emplace(base_vertex, vid);
+  if (base_vertex >= base_to_view_.size()) {
+    base_to_view_.resize(
+        std::max<size_t>(base_->NumVertices(), base_vertex + 1),
+        graph::kInvalidId);
+  }
+  base_to_view_[base_vertex] = vid;
   view_->view_to_base.push_back(base_vertex);
   ++stats->vertices_added;
   return vid;
+}
+
+EdgeId ViewMaintainer::FindConnectorEdge(VertexId src, VertexId dst) const {
+  const PropertyGraph& vg = view_->graph;
+  // Scan the smaller of the two incident lists; the edge is unique per
+  // (src, dst) pair under deduplicated contraction.
+  const bool from_src = vg.OutDegree(src) <= vg.InDegree(dst);
+  for (EdgeId e : from_src ? vg.OutEdges(src) : vg.InEdges(dst)) {
+    const EdgeRecord& rec = vg.Edge(e);
+    if ((from_src ? rec.target == dst : rec.source == src) &&
+        rec.type == connector_type_) {
+      return e;
+    }
+  }
+  return graph::kInvalidId;
 }
 
 Status ViewMaintainer::UpsertConnectorEdge(VertexId base_src,
@@ -385,21 +410,19 @@ Status ViewMaintainer::UpsertConnectorEdge(VertexId base_src,
   PropertyGraph& vg = view_->graph;
   VertexId src = ViewVertexFor(base_src, stats);
   VertexId dst = ViewVertexFor(base_dst, stats);
-  auto key = std::make_pair(src, dst);
-  auto it = connector_edges_.find(key);
-  if (it != connector_edges_.end()) {
-    int64_t current = vg.EdgeProperty(it->second, "paths").as_int();
+  const EdgeId existing = FindConnectorEdge(src, dst);
+  if (existing != graph::kInvalidId) {
+    int64_t current = vg.EdgeProperty(existing, "paths").as_int();
     KASKADE_RETURN_IF_ERROR(vg.SetEdgeProperty(
-        it->second, "paths",
+        existing, "paths",
         PropertyValue(current + static_cast<int64_t>(paths))));
     ++stats->edges_updated;
     return Status::OK();
   }
   graph::PropertyMap props;
   props.Set("paths", PropertyValue(static_cast<int64_t>(paths)));
-  KASKADE_ASSIGN_OR_RETURN(
-      EdgeId e, vg.AddEdgeOfType(src, dst, connector_type_, std::move(props)));
-  connector_edges_.emplace(key, e);
+  KASKADE_RETURN_IF_ERROR(
+      vg.AddEdgeOfType(src, dst, connector_type_, std::move(props)).status());
   ++stats->edges_added;
   return Status::OK();
 }
@@ -409,49 +432,47 @@ Status ViewMaintainer::DecrementConnectorEdge(VertexId base_src,
                                               uint64_t paths,
                                               MaintenanceStats* stats) {
   PropertyGraph& vg = view_->graph;
-  auto src_it = base_to_view_.find(base_src);
-  auto dst_it = base_to_view_.find(base_dst);
-  if (src_it == base_to_view_.end() || dst_it == base_to_view_.end()) {
+  const VertexId src = ViewVertexOf(base_src);
+  const VertexId dst = ViewVertexOf(base_dst);
+  if (src == graph::kInvalidId || dst == graph::kInvalidId) {
     return Status::Internal("view lost an endpoint of a maintained edge");
   }
-  auto it = connector_edges_.find(
-      std::make_pair(src_it->second, dst_it->second));
-  if (it == connector_edges_.end()) {
+  const EdgeId e = FindConnectorEdge(src, dst);
+  if (e == graph::kInvalidId) {
     return Status::Internal("view lost a maintained connector edge");
   }
-  int64_t current = vg.EdgeProperty(it->second, "paths").as_int();
+  int64_t current = vg.EdgeProperty(e, "paths").as_int();
   if (current < static_cast<int64_t>(paths)) {
     return Status::Internal("connector path multiplicity underflow");
   }
   stats->paths_removed += paths;
   if (current == static_cast<int64_t>(paths)) {
-    KASKADE_RETURN_IF_ERROR(vg.RemoveEdge(it->second));
-    if (removed_sink_ != nullptr) removed_sink_->push_back(it->second);
-    connector_edges_.erase(it);
+    KASKADE_RETURN_IF_ERROR(vg.RemoveEdge(e));
+    // Nothing reads a dead connector edge's path count again.
+    KASKADE_RETURN_IF_ERROR(vg.ReleaseEdgeProperties(e));
+    if (removed_sink_ != nullptr) removed_sink_->push_back(e);
     ++stats->edges_removed;
     MaybeCollectViewVertex(base_src, stats);
     MaybeCollectViewVertex(base_dst, stats);
     return Status::OK();
   }
   KASKADE_RETURN_IF_ERROR(vg.SetEdgeProperty(
-      it->second, "paths",
-      PropertyValue(current - static_cast<int64_t>(paths))));
+      e, "paths", PropertyValue(current - static_cast<int64_t>(paths))));
   ++stats->edges_updated;
   return Status::OK();
 }
 
 void ViewMaintainer::MaybeCollectViewVertex(VertexId base_vertex,
                                             MaintenanceStats* stats) {
-  auto it = base_to_view_.find(base_vertex);
-  if (it == base_to_view_.end()) return;
+  const VertexId view_vertex = ViewVertexOf(base_vertex);
+  if (view_vertex == graph::kInvalidId) return;
   PropertyGraph& vg = view_->graph;
-  VertexId view_vertex = it->second;
   if (vg.OutDegree(view_vertex) != 0 || vg.InDegree(view_vertex) != 0) return;
   // From-scratch contraction only emits path endpoints, so an isolated
   // view vertex must go (its id is tombstoned; view_to_base keeps the
   // slot so ids stay aligned).
   if (vg.RemoveVertex(view_vertex).ok()) {
-    base_to_view_.erase(it);
+    base_to_view_[base_vertex] = graph::kInvalidId;
     ++stats->vertices_removed;
   }
 }

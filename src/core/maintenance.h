@@ -41,8 +41,8 @@
 #define KASKADE_CORE_MAINTENANCE_H_
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
 #include "core/materializer.h"
@@ -169,10 +169,19 @@ class ViewMaintainer {
       graph::EdgeId e, const struct BatchRemovalScope* batch);
   Result<MaintenanceStats> RemoveFromFilterSummarizer(graph::EdgeId e);
 
+  /// Live view vertex of a base vertex, or kInvalidId when it has none.
+  graph::VertexId ViewVertexOf(graph::VertexId base_vertex) const;
+
   /// View vertex for a base vertex, creating it (with copied properties
   /// and orig_id) on first use.
   graph::VertexId ViewVertexFor(graph::VertexId base_vertex,
                                 MaintenanceStats* stats);
+
+  /// The live connector edge between view vertices src -> dst, or
+  /// kInvalidId: a scan of the smaller of `OutEdges(src)` and
+  /// `InEdges(dst)`.
+  graph::EdgeId FindConnectorEdge(graph::VertexId src,
+                                  graph::VertexId dst) const;
 
   /// Upserts a connector edge (src, dst) with `paths` new contracted
   /// paths.
@@ -181,7 +190,8 @@ class ViewMaintainer {
                              MaintenanceStats* stats);
 
   /// Subtracts `paths` contracted paths from connector edge (src, dst),
-  /// dropping it at zero and collecting newly orphaned endpoints.
+  /// dropping it at zero — and releasing its property map — and
+  /// collecting newly orphaned endpoints.
   Status DecrementConnectorEdge(graph::VertexId base_src,
                                 graph::VertexId base_dst, uint64_t paths,
                                 MaintenanceStats* stats);
@@ -196,12 +206,9 @@ class ViewMaintainer {
   graph::EdgeTypeId connector_type_ = graph::kInvalidTypeId;
   graph::VertexTypeId source_type_ = graph::kInvalidTypeId;
   graph::VertexTypeId target_type_ = graph::kInvalidTypeId;
-  /// base vertex id -> view vertex id (live view vertices only).
-  std::unordered_map<graph::VertexId, graph::VertexId> base_to_view_;
-  /// (view src, view dst) -> view edge id (connector edges are unique per
-  /// pair under deduplicated materialization).
-  std::map<std::pair<graph::VertexId, graph::VertexId>, graph::EdgeId>
-      connector_edges_;
+  /// Dense base vertex id -> live view vertex id; kInvalidId (and ids
+  /// past the end) mean the view has no vertex for it.
+  std::vector<graph::VertexId> base_to_view_;
   /// base edge id -> view edge id for filter summarizers (each kept base
   /// edge is copied verbatim; "orig_eid" lineage mirrors this map).
   std::unordered_map<graph::EdgeId, graph::EdgeId> summarizer_edges_;

@@ -1,8 +1,29 @@
 #include "graph/property_graph.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace kaskade::graph {
+
+namespace {
+
+using IndexEntry = std::pair<uint64_t, VertexId>;
+
+uint64_t HashValue(const std::string& value) {
+  return std::hash<std::string>{}(value);
+}
+
+void InsertEntry(std::vector<IndexEntry>* entries, IndexEntry entry) {
+  entries->insert(std::lower_bound(entries->begin(), entries->end(), entry),
+                  entry);
+}
+
+void EraseEntry(std::vector<IndexEntry>* entries, IndexEntry entry) {
+  auto it = std::lower_bound(entries->begin(), entries->end(), entry);
+  if (it != entries->end() && *it == entry) entries->erase(it);
+}
+
+}  // namespace
 
 Result<VertexId> PropertyGraph::AddVertex(const std::string& type_name,
                                           PropertyMap properties) {
@@ -23,6 +44,8 @@ VertexId PropertyGraph::AddVertexOfType(VertexTypeId type,
   vertex_live_.push_back(true);
   if (type >= vertex_type_counts_.size()) vertex_type_counts_.resize(type + 1, 0);
   ++vertex_type_counts_[type];
+  std::lock_guard<std::mutex> lock(index_cache_.mu);
+  IndexVertexLocked(id, /*add=*/true);
   return id;
 }
 
@@ -84,6 +107,16 @@ Status PropertyGraph::RemoveEdge(EdgeId e) {
   return Status::OK();
 }
 
+Status PropertyGraph::ReleaseEdgeProperties(EdgeId e) {
+  if (e >= NumEdges()) return Status::OutOfRange("edge id out of range");
+  if (edge_live_[e]) {
+    return Status::FailedPrecondition("edge " + std::to_string(e) +
+                                      " is live");
+  }
+  edge_props_[e] = PropertyMap();
+  return Status::OK();
+}
+
 Status PropertyGraph::RemoveVertex(VertexId v) {
   if (v >= NumVertices()) return Status::OutOfRange("vertex id out of range");
   if (!vertex_live_[v]) {
@@ -94,6 +127,10 @@ Status PropertyGraph::RemoveVertex(VertexId v) {
     return Status::FailedPrecondition(
         "vertex " + std::to_string(v) + " still has live incident edges");
   }
+  {
+    std::lock_guard<std::mutex> lock(index_cache_.mu);
+    IndexVertexLocked(v, /*add=*/false);
+  }
   vertex_live_[v] = false;
   ++num_removed_vertices_;
   --vertex_type_counts_[vertex_types_[v]];
@@ -103,6 +140,21 @@ Status PropertyGraph::RemoveVertex(VertexId v) {
 Status PropertyGraph::SetVertexProperty(VertexId v, const std::string& key,
                                         PropertyValue value) {
   if (v >= NumVertices()) return Status::OutOfRange("vertex id out of range");
+  std::lock_guard<std::mutex> lock(index_cache_.mu);
+  for (EqualityIndex& index : index_cache_.indexes) {
+    // Dead vertices are in no index, whatever their properties say.
+    if (index.type != vertex_types_[v] || index.key != key ||
+        !vertex_live_[v]) {
+      continue;
+    }
+    const PropertyValue* old = vertex_props_[v].Find(key);
+    if (old != nullptr && old->is_string()) {
+      EraseEntry(&index.entries, {HashValue(old->as_string()), v});
+    }
+    if (value.is_string()) {
+      InsertEntry(&index.entries, {HashValue(value.as_string()), v});
+    }
+  }
   vertex_props_[v].Set(key, std::move(value));
   return Status::OK();
 }
@@ -121,6 +173,53 @@ std::vector<VertexId> PropertyGraph::VerticesOfType(VertexTypeId type) const {
     if (vertex_types_[v] == type && vertex_live_[v]) out.push_back(v);
   }
   return out;
+}
+
+void PropertyGraph::IndexVertexLocked(VertexId v, bool add) {
+  for (EqualityIndex& index : index_cache_.indexes) {
+    if (index.type != vertex_types_[v]) continue;
+    const PropertyValue* value = vertex_props_[v].Find(index.key);
+    if (value == nullptr || !value->is_string()) continue;
+    const IndexEntry entry{HashValue(value->as_string()), v};
+    if (add) {
+      InsertEntry(&index.entries, entry);
+    } else {
+      EraseEntry(&index.entries, entry);
+    }
+  }
+}
+
+void PropertyGraph::ProbeStringEquality(VertexTypeId type,
+                                        const std::string& key,
+                                        const std::string& value,
+                                        std::vector<VertexId>* out) const {
+  const uint64_t hash = HashValue(value);
+  std::lock_guard<std::mutex> lock(index_cache_.mu);
+  std::vector<EqualityIndex>& indexes = index_cache_.indexes;
+  auto index = std::find_if(
+      indexes.begin(), indexes.end(), [&](const EqualityIndex& i) {
+        return i.type == type && i.key == key;
+      });
+  if (index == indexes.end()) {
+    EqualityIndex built{type, key, {}};
+    for (VertexId v = 0; v < vertex_types_.size(); ++v) {
+      if (vertex_types_[v] != type || !vertex_live_[v]) continue;
+      const PropertyValue* p = vertex_props_[v].Find(key);
+      if (p != nullptr && p->is_string()) {
+        built.entries.emplace_back(HashValue(p->as_string()), v);
+      }
+    }
+    std::sort(built.entries.begin(), built.entries.end());
+    built.entries.shrink_to_fit();
+    indexes.push_back(std::move(built));
+    index = indexes.end() - 1;
+  }
+  const std::vector<IndexEntry>& entries = index->entries;
+  for (auto it = std::lower_bound(entries.begin(), entries.end(),
+                                  IndexEntry{hash, 0});
+       it != entries.end() && it->first == hash; ++it) {
+    out->push_back(it->second);
+  }
 }
 
 bool PropertyGraph::HasEdgeBetween(VertexId source, VertexId target) const {

@@ -4,12 +4,24 @@
 /// This is Kaskade's execution substrate (the role Neo4j plays in the
 /// paper): it stores the raw graph and all materialized graph views, and
 /// the query executor in `src/query` pattern-matches against it.
+///
+/// Equality seed index: `ProbeStringEquality` answers "which live
+/// vertices of this type have this string under this key" without a
+/// scan. Each (vertex type, property key) pair gets its own index on its
+/// first probe: (hash of the string value, vertex id) pairs sorted by
+/// hash, then id — about 16 B per indexed vertex and no copy of the
+/// strings. `AddVertex*`, `SetVertexProperty` and `RemoveVertex` keep
+/// every built index exact; copying a graph drops them (the copy builds
+/// its own on demand). A probe returns every vertex whose value *hashes*
+/// like the constant, so callers still compare the values.
 
 #ifndef KASKADE_GRAPH_PROPERTY_GRAPH_H_
 #define KASKADE_GRAPH_PROPERTY_GRAPH_H_
 
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -90,10 +102,17 @@ class PropertyGraph {
 
   /// Removes an edge: unlinks it from both adjacency lists and marks it
   /// dead. The id is never reused; the record and properties remain
-  /// readable (maintenance code subtracts the paths a dead edge carried).
+  /// readable (maintenance code reads a dead base edge's properties to
+  /// subtract what it contributed) until `ReleaseEdgeProperties`.
   /// Fails with OutOfRange for an unknown id, FailedPrecondition when the
   /// edge was already removed.
   Status RemoveEdge(EdgeId e);
+
+  /// Frees a removed edge's property map (its record stays). For owners
+  /// that never read a dead edge's properties again, such as a connector
+  /// view dropping an edge whose path count reached zero. Fails with
+  /// OutOfRange for an unknown id and FailedPrecondition for a live edge.
+  Status ReleaseEdgeProperties(EdgeId e);
 
   /// Removes a vertex with no live incident edges (callers remove or
   /// re-route edges first). Fails with FailedPrecondition when live
@@ -181,6 +200,18 @@ class PropertyGraph {
   PropertyValue EdgeProperty(EdgeId e, const std::string& key) const {
     return edge_props_[e].GetOrNull(key);
   }
+
+  /// Appends to `out`, in ascending id order, every live vertex of
+  /// `type` whose `key` property is a string hashing like `value`: a
+  /// superset of the vertices where it equals `value` (hash collisions
+  /// are possible, so callers compare the values). The first probe of a
+  /// (type, key) pair builds its index in O(|V| log |V|); later probes
+  /// cost O(log |V| + matches). Probes may run concurrently with each
+  /// other and with const reads; mutations need exclusive access, as
+  /// everywhere else in this class.
+  void ProbeStringEquality(VertexTypeId type, const std::string& key,
+                           const std::string& value,
+                           std::vector<VertexId>* out) const;
   /// @}
 
   /// True if there is at least one edge source->target (any type).
@@ -191,6 +222,31 @@ class PropertyGraph {
   size_t EstimateSizeBytes() const;
 
  private:
+  /// One (vertex type, property key) equality index: (hash of the string
+  /// value, vertex id) pairs sorted by hash, then id, over the live
+  /// vertices of `type` whose `key` value is a string.
+  struct EqualityIndex {
+    VertexTypeId type = kInvalidTypeId;
+    std::string key;
+    std::vector<std::pair<uint64_t, VertexId>> entries;
+  };
+  /// The lazily built equality indexes and the mutex that guards them.
+  /// Copying yields an empty cache: a copied graph builds its own.
+  struct IndexCache {
+    IndexCache() = default;
+    IndexCache(const IndexCache&) noexcept {}
+    IndexCache& operator=(const IndexCache&) noexcept {
+      indexes.clear();
+      return *this;
+    }
+    std::mutex mu;
+    std::vector<EqualityIndex> indexes;  // guarded by mu
+  };
+
+  /// Adds (`add`) or drops `v`'s entries — one per built index of its
+  /// type whose key `v` holds as a string. Caller holds the mutex.
+  void IndexVertexLocked(VertexId v, bool add);
+
   GraphSchema schema_;
   std::vector<VertexTypeId> vertex_types_;
   std::vector<PropertyMap> vertex_props_;
@@ -205,6 +261,7 @@ class PropertyGraph {
   std::vector<bool> edge_live_;
   size_t num_removed_vertices_ = 0;
   size_t num_removed_edges_ = 0;
+  mutable IndexCache index_cache_;
 };
 
 }  // namespace kaskade::graph

@@ -338,6 +338,7 @@ Result<Table> QueryExecutor::ExecuteMatch(const MatchQuery& match,
         ExecuteFusedMatch(*graph_, *csr_, {&match}, options_, &group);
     stats->expansions += group.expansions;
     stats->deadline_checks += group.deadline_checks;
+    stats->index_seeded |= group.index_seeded;
     return std::move(results[0]);
   }
   MatchEvaluator evaluator(*graph_, options_);
@@ -494,6 +495,7 @@ Result<Table> QueryExecutor::Evaluate(const MatchQuery* match,
             .count();
     timing->expansions = stats.expansions;
     timing->deadline_checks = stats.deadline_checks;
+    timing->index_seeded = stats.index_seeded;
   }
   return result;
 }

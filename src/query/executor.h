@@ -105,6 +105,9 @@ struct ExecutionTiming {
   /// so orders of magnitude below `expansions`). 0 when no deadline and
   /// no sibling-cancel flag was installed.
   uint64_t deadline_checks = 0;
+  /// The CSR MATCH backend took its top-level seeds from the equality
+  /// seed index (`FusedGroupStats::index_seeded`) instead of a scan.
+  bool index_seeded = false;
 };
 
 /// \brief Executes parsed or textual queries against one graph.

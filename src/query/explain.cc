@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/string_util.h"
+#include "query/fused_runner.h"
 
 namespace kaskade::query {
 
@@ -15,18 +16,30 @@ void ExplainMatch(const MatchQuery& match, const graph::PropertyGraph& graph,
                   std::string* out) {
   *out += indent + "MATCH\n";
   if (!match.nodes.empty()) {
-    const NodePattern& seed = match.nodes.front();
-    graph::VertexTypeId type = seed.type.empty()
-                                   ? graph::kInvalidTypeId
-                                   : graph.schema().FindVertexType(seed.type);
-    size_t cardinality = type == graph::kInvalidTypeId
-                             ? graph.NumLiveVertices()
-                             : graph.NumVerticesOfType(type);
-    *out += indent + "  seed (" + seed.name;
-    if (!seed.type.empty()) *out += ":" + seed.type;
-    *out += ")  " +
-            FormatWithCommas(static_cast<long long>(cardinality)) +
-            " vertices\n";
+    // Name the seed the CSR runner actually takes: the plan's first node
+    // and where its candidates come from. A pattern that does not
+    // resolve falls back to a scan of the first node.
+    Result<SeedSource> source = PlannedSeedSource(graph, match);
+    if (!source.ok()) {
+      source = SeedSource{match.nodes.front().name, match.nodes.front().type,
+                          ""};
+    }
+    *out += indent + "  seed (" + source->node;
+    if (!source->type.empty()) *out += ":" + source->type;
+    *out += ")  ";
+    if (!source->index_key.empty()) {
+      *out += "index " + source->type + "." + source->index_key + "\n";
+    } else {
+      graph::VertexTypeId type =
+          source->type.empty() ? graph::kInvalidTypeId
+                               : graph.schema().FindVertexType(source->type);
+      size_t cardinality = type == graph::kInvalidTypeId
+                               ? graph.NumLiveVertices()
+                               : graph.NumVerticesOfType(type);
+      *out += "scan " + (source->type.empty() ? "all" : source->type) +
+              ", " + FormatWithCommas(static_cast<long long>(cardinality)) +
+              " vertices\n";
+    }
   }
   for (const EdgePattern& edge : match.edges) {
     *out += indent + "  expand -[";

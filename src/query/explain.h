@@ -18,12 +18,15 @@
 
 namespace kaskade::query {
 
-/// Renders a multi-line plan for `query` against `graph`, e.g.:
+/// Renders a multi-line plan for `query` against `graph`. The seed line
+/// names the CSR runner's first plan node and its source: `index
+/// Person.handle` when it probes the equality seed index, else `scan
+/// <type>` (or `scan all`) with the candidate count. E.g.:
 ///
 /// ```
 /// SELECT [2 items, GROUP BY A.pipelineName]          ~1.1x input
 ///   MATCH
-///     seed (q_j1:Job)                                 2,000 vertices
+///     seed (q_j1:Job)  scan Job, 2,000 vertices
 ///     expand -[:WRITES_TO]-> (q_f1:File)              x2.0
 ///     expand -[*0..8]-> (q_f2:File)                   8 graph sweeps
 ///     expand -[:IS_READ_BY]-> (q_j2:Job)              x1.0

@@ -49,6 +49,8 @@ struct SeedPartition {
   std::vector<VertexId> seeds;
   std::vector<uint32_t> rank;
   std::vector<size_t> bounds;
+  /// The seeds came from the equality seed index, not a scan.
+  bool from_index = false;
 
   size_t num_pieces() const { return bounds.size() - 1; }
   uint32_t RankOf(size_t i) const {
@@ -56,17 +58,51 @@ struct SeedPartition {
   }
 };
 
-/// Splits the first plan step's candidates (always an unbound seed):
-/// one group per `graph::ShardOfVertex` shard when `shards > 1`,
-/// contiguous blocks when `workers > 1` (small, for load balance),
-/// otherwise one piece.
-SeedPartition PartitionSeeds(const PropertyGraph& graph,
-                             const ResolvedMatch& rm, size_t workers,
-                             size_t shards) {
+/// The conjunct the first plan step probes the equality seed index
+/// with: the first `=` conjunct on its node whose constant is a string
+/// for every member, when that node has a type. Null means the step
+/// scans (its type, or every live vertex).
+const FusedCondition* SeedIndexCondition(
+    const ResolvedMatch& rm,
+    const std::vector<std::vector<FusedCondition>>& slot_conditions) {
+  const size_t slot = static_cast<size_t>(rm.plan[0].node_slot);
+  if (!rm.pattern.nodes[slot].has_type_constraint) return nullptr;
+  for (const FusedCondition& cond : slot_conditions[slot]) {
+    if (cond.op == CompareOp::kEq &&
+        std::all_of(cond.rhs.begin(), cond.rhs.end(),
+                    [](const PropertyValue& c) { return c.is_string(); })) {
+      return &cond;
+    }
+  }
+  return nullptr;
+}
+
+/// Collects the first plan step's candidates (always an unbound seed)
+/// in ascending id order and splits them: one group per
+/// `graph::ShardOfVertex` shard when `shards > 1`, contiguous blocks
+/// when `workers > 1` (small, for load balance), otherwise one piece.
+/// With a `SeedIndexCondition` the candidates are the sorted union of
+/// the members' index probes instead of the whole type: an ascending
+/// subsequence of the scan that drops only vertices every member's
+/// conjunct rejects, so every table (row order included) is the scan's.
+SeedPartition PartitionSeeds(
+    const PropertyGraph& graph, const ResolvedMatch& rm,
+    const std::vector<std::vector<FusedCondition>>& slot_conditions,
+    size_t workers, size_t shards) {
   const ResolvedPattern::Node& n =
       rm.pattern.nodes[static_cast<size_t>(rm.plan[0].node_slot)];
+  SeedPartition part;
   std::vector<VertexId> seeds;
-  if (n.has_type_constraint) {
+  if (const FusedCondition* eq = SeedIndexCondition(rm, slot_conditions)) {
+    for (const PropertyValue& c : eq->rhs) {
+      graph.ProbeStringEquality(n.type, eq->property, c.as_string(), &seeds);
+    }
+    if (eq->rhs.size() > 1) {
+      std::sort(seeds.begin(), seeds.end());
+      seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+    }
+    part.from_index = true;
+  } else if (n.has_type_constraint) {
     seeds = graph.VerticesOfType(n.type);
   } else {
     seeds.reserve(graph.NumLiveVertices());
@@ -74,7 +110,6 @@ SeedPartition PartitionSeeds(const PropertyGraph& graph,
       if (graph.IsVertexLive(v)) seeds.push_back(v);
     }
   }
-  SeedPartition part;
   const size_t count = seeds.size();
   if (shards > 1) {
     // Stable bucketing: each shard keeps its seeds in sequential order.
@@ -508,6 +543,24 @@ Result<Table> MergeMember(const ResolvedMatch& rm,
 
 }  // namespace
 
+Result<SeedSource> PlannedSeedSource(const PropertyGraph& graph,
+                                     const MatchQuery& match) {
+  KASKADE_ASSIGN_OR_RETURN(ResolvedMatch rm, ResolveMatch(graph, match));
+  std::vector<std::vector<FusedCondition>> slot_conditions;
+  KASKADE_RETURN_IF_ERROR(LiftConstants(rm, {&match}, &slot_conditions));
+  const ResolvedPattern::Node& n =
+      rm.pattern.nodes[static_cast<size_t>(rm.plan[0].node_slot)];
+  SeedSource source;
+  source.node = n.name;
+  if (n.has_type_constraint) {
+    source.type = graph.schema().vertex_type_name(n.type);
+  }
+  if (const FusedCondition* eq = SeedIndexCondition(rm, slot_conditions)) {
+    source.index_key = eq->property;
+  }
+  return source;
+}
+
 std::vector<Result<Table>> ExecuteFusedMatch(
     const PropertyGraph& graph, const CsrGraph& csr,
     const std::vector<const MatchQuery*>& members,
@@ -559,8 +612,9 @@ std::vector<Result<Table>> ExecuteFusedMatch(
       options.parallelism == 0
           ? std::max(1u, std::thread::hardware_concurrency())
           : options.parallelism;
-  const SeedPartition part =
-      PartitionSeeds(graph, *rm, parallelism, options.shards);
+  const SeedPartition part = PartitionSeeds(graph, *rm, slot_conditions,
+                                            parallelism, options.shards);
+  if (stats != nullptr) stats->index_seeded = part.from_index;
   const size_t num_pieces = part.num_pieces();
   const bool merge = num_pieces > 1;
   const size_t workers = std::min(parallelism, num_pieces);

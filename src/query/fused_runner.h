@@ -33,12 +33,19 @@
 /// `graph::ShardOfVertex` groups for `ExecutorOptions::shards`, one
 /// piece otherwise — whose pieces workers claim; the per-seed row spans
 /// merge back in seed order with first-occurrence dedup, so every
-/// partitioned run is byte-identical to the one-piece run.
+/// partitioned run is byte-identical to the one-piece run. When the
+/// first plan step's node has a type and an `=` conjunct whose constant
+/// is a string for every member, the partitioner takes its seeds from
+/// `PropertyGraph::ProbeStringEquality` instead of scanning the type:
+/// the sorted union of the members' probes, in the scan's (ascending
+/// id) order. Every other seed — other operators or constant types,
+/// untyped nodes, secondary seeds — is still a scan.
 
 #ifndef KASKADE_QUERY_FUSED_RUNNER_H_
 #define KASKADE_QUERY_FUSED_RUNNER_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -61,7 +68,21 @@ struct FusedGroupStats {
   /// Deadline clock tests the shared traversal performed (see
   /// `ExecutionTiming::deadline_checks`).
   uint64_t deadline_checks = 0;
+  /// The top-level seeds came from the equality seed index.
+  bool index_seeded = false;
 };
+
+/// \brief Where the CSR runner takes a MATCH's top-level seeds from.
+struct SeedSource {
+  std::string node;       ///< The first plan step's variable.
+  std::string type;       ///< Its type name; empty for an untyped node.
+  std::string index_key;  ///< The probed property; empty for a scan.
+};
+
+/// The seed source `ExecuteFusedMatch` uses for `match` run solo on
+/// `graph` (EXPLAIN prints it). Fails as resolving `match` fails.
+Result<SeedSource> PlannedSeedSource(const graph::PropertyGraph& graph,
+                                     const MatchQuery& match);
 
 /// Runs `members` — same-shape MATCH queries — as one shared traversal
 /// over `csr` (a topology snapshot of `graph`) and returns one result

@@ -15,6 +15,16 @@
 /// group sees the candidates, and emits its rows, in the order of its
 /// own solo walk.
 ///
+/// Top-level seeds need not be a type scan: the CSR runner takes a
+/// typed first node's candidates from the graph's equality
+/// index (`PropertyGraph::ProbeStringEquality`) when it carries a
+/// string `=` conjunct. The index returns ids in ascending order, the
+/// order `VerticesOfType` scans in, and drops only vertices the
+/// conjunct rejects; the per-candidate acceptance check still runs on
+/// every seed, so hash collisions cannot leak rows and the walk emits
+/// exactly the scan's rows in the scan's order. The legacy backtracker
+/// always scans.
+///
 /// This header is internal to `src/query/`; it is not part of the
 /// engine-facing API.
 

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -534,6 +535,159 @@ TEST_P(DifferentialTest, FusedBatchMatchesSequentialAcrossMutations) {
   EXPECT_LT(batch_expansions[0], batch_expansions[1]);
 }
 
+// ---------------------------------------------------------------------------
+// Equality seed index differential: reads whose first plan node carries
+// a string `=` conjunct take their seeds from the graph's equality index.
+// Across mutation streams that also add, remove and rename vertices,
+// every such read must return the legacy backtracker's rows, and exactly
+// the table (row order included) of the same read written as a range,
+// which still scans its type. A k=2 connector view maintained beside the
+// base is held to the same index-vs-scan identity, so the view graph's
+// index follows vertex collection and re-adds.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kNamePool[] = {"n0", "n1", "n2", "n3"};
+
+/// Index-seeded read templates; `$` is replaced by the name constant.
+constexpr const char* kIndexedReads[] = {
+    "MATCH (j:Job) WHERE j.name = $ RETURN j",
+    "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.name = $ RETURN j, f",
+    // The string conjunct is the second one: the first `=` on an int
+    // constant does not qualify.
+    "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.hot = 1 AND j.name = $ "
+    "RETURN j, f",
+    "MATCH (j:Job)-[r*1..3]->(b:Job) WHERE j.name = $ RETURN j, b",
+};
+
+/// The subset that also runs on a Job -> Job connector view.
+constexpr const char* kIndexedViewReads[] = {
+    "MATCH (j:Job) WHERE j.name = $ RETURN j",
+    "MATCH (j:Job)-[r*1..2]->(b:Job) WHERE j.name = $ RETURN j, b",
+};
+
+std::string Instantiate(const std::string& tmpl, const std::string& cond) {
+  std::string text = tmpl;
+  const size_t at = text.find("j.name = $");
+  return text.replace(at, std::string("j.name = $").size(), cond);
+}
+
+/// Runs each of `templates` for every pool name on `g` (whose snapshot
+/// is `csr`) and checks the index-vs-scan identity; with `legacy_oracle`
+/// also the legacy backtracker's rows.
+template <size_t N>
+void ExpectIndexedReadsExact(const char* const (&templates)[N],
+                             const PropertyGraph& g,
+                             const graph::CsrGraph& csr, bool legacy_oracle,
+                             const std::string& context) {
+  query::QueryExecutor legacy(&g);
+  query::QueryExecutor runner(&g, &csr);
+  for (const char* tmpl : templates) {
+    for (const char* name : kNamePool) {
+      const std::string constant = std::string("'") + name + "'";
+      const std::string eq = Instantiate(tmpl, "j.name = " + constant);
+      const std::string range = Instantiate(
+          tmpl, "j.name >= " + constant + " AND j.name <= " + constant);
+      const std::string at = eq + " " + context;
+      query::ExecutionTiming eq_timing;
+      query::ExecutionTiming range_timing;
+      auto indexed = runner.ExecuteText(eq, &eq_timing);
+      auto scanned = runner.ExecuteText(range, &range_timing);
+      ASSERT_TRUE(indexed.ok()) << at << ": " << indexed.status();
+      ASSERT_TRUE(scanned.ok()) << at << ": " << scanned.status();
+      EXPECT_TRUE(eq_timing.index_seeded) << at;
+      EXPECT_FALSE(range_timing.index_seeded) << at;
+      ExpectTablesIdentical(*scanned, *indexed, at);
+      if (legacy_oracle) {
+        auto expected = legacy.ExecuteText(eq);
+        ASSERT_TRUE(expected.ok()) << at << ": " << expected.status();
+        EXPECT_EQ(CanonicalRows(*expected), CanonicalRows(*indexed)) << at;
+      }
+    }
+  }
+}
+
+TEST_P(DifferentialTest, IndexSeededReadsMatchLegacyAcrossMutations) {
+  auto [seed, skewed] = GetParam();
+  MutationState state(seed + 17000, skewed);
+  PropertyGraph g(DeltaSchema());
+  SeedGraph(&g, &state);
+  auto random_name = [&] {
+    return PropertyValue(kNamePool[state.rng() % std::size(kNamePool)]);
+  };
+  for (VertexId v : state.by_type[0]) {
+    ASSERT_TRUE(g.SetVertexProperty(v, "name", random_name()).ok());
+  }
+  // Files outnumber jobs throughout, so the plans seed at the job node.
+  for (int i = 0; i < 30; ++i) {
+    state.by_type[1].push_back(
+        g.AddVertex("File", state.RandomVertexProps()).value());
+  }
+  const ViewDefinition connector{.kind = ViewKind::kKHopConnector,
+                                 .k = 2,
+                                 .source_type = "Job",
+                                 .target_type = "Job"};
+  auto view = Materialize(g, connector);
+  ASSERT_TRUE(view.ok()) << view.status();
+  auto maintainer = std::make_unique<ViewMaintainer>(&g, &*view);
+  // Named but never wired: the only vertices this test removes.
+  std::vector<VertexId> isolated;
+
+  constexpr int kSteps = 40;
+  for (int step = 0; step < kSteps; ++step) {
+    const double dice = state.UniformReal();
+    if (dice < 0.45 || state.live_edges.size() < 4) {
+      GraphDelta delta;
+      if (dice < 0.3 || state.live_edges.size() < 4) {
+        delta.edge_inserts.push_back(state.RandomEdgeInsert());
+      } else {
+        delta.RemoveEdge(state.PickLiveEdge());
+      }
+      auto applied = graph::ApplyDeltaToGraph(&g, delta);
+      ASSERT_TRUE(applied.ok()) << applied.status();
+      auto maintained = maintainer->ApplyDelta(delta);
+      ASSERT_TRUE(maintained.ok()) << maintained.status();
+      for (EdgeId e : delta.edge_removals) state.ForgetEdge(e);
+      for (EdgeId e : applied->new_edges) state.live_edges.push_back(e);
+    } else if (dice < 0.75) {
+      // Rename a job: to another name, or to an int (leaves the index).
+      const VertexId v =
+          state.by_type[0][state.PickIndex(state.by_type[0].size())];
+      PropertyValue value = state.UniformReal() < 0.25
+                                ? PropertyValue(static_cast<int64_t>(5))
+                                : random_name();
+      ASSERT_TRUE(g.SetVertexProperty(v, "name", std::move(value)).ok());
+    } else if (dice < 0.9 || isolated.empty()) {
+      PropertyMap props = state.RandomVertexProps();
+      props.Set("name", random_name());
+      const VertexId v = g.AddVertex("Job", std::move(props)).value();
+      if (state.UniformReal() < 0.5) {
+        isolated.push_back(v);
+      } else {
+        state.by_type[0].push_back(v);  // later inserts may wire it
+      }
+    } else {
+      ASSERT_TRUE(g.RemoveVertex(isolated.back()).ok());
+      isolated.pop_back();
+      // Vertex removals are out of band for a maintainer: rebuild the
+      // view, as the catalog does.
+      view = Materialize(g, connector);
+      ASSERT_TRUE(view.ok()) << view.status();
+      maintainer = std::make_unique<ViewMaintainer>(&g, &*view);
+    }
+
+    const std::string context = "at step " + std::to_string(step) +
+                                " (seed " + std::to_string(seed) +
+                                (skewed ? ", skewed)" : ", uniform)");
+    graph::CsrGraph csr = graph::CsrGraph::Build(g);
+    ExpectIndexedReadsExact(kIndexedReads, g, csr, /*legacy_oracle=*/true,
+                            context);
+    graph::CsrGraph view_csr = graph::CsrGraph::Build(view->graph);
+    ExpectIndexedReadsExact(kIndexedViewReads, view->graph, view_csr,
+                            /*legacy_oracle=*/false, "on the view " + context);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 // A fused group handed a snapshot that no longer matches its property
 // graph must trip the staleness check for every member instead of
 // silently traversing a stale topology.
@@ -601,6 +755,116 @@ TEST(FusedRunnerTest, GroupMatchesSoloMemberByMember) {
     ASSERT_TRUE(expected.ok()) << kTexts[m];
     ASSERT_TRUE(fused_results[m].ok()) << kTexts[m];
     ExpectTablesIdentical(*expected, *fused_results[m], kTexts[m]);
+  }
+}
+
+/// A seeded lineage graph, denser than `SeedGraph`'s, whose jobs carry
+/// names from `kNamePool`.
+PropertyGraph NamedJobGraph(uint64_t seed) {
+  MutationState state(seed, /*skew=*/false);
+  PropertyGraph g(DeltaSchema());
+  SeedGraph(&g, &state);
+  for (int i = 0; i < 60; ++i) {
+    GraphDelta::EdgeInsert ins = state.RandomEdgeInsert();
+    EXPECT_TRUE(
+        g.AddEdge(ins.source, ins.target, ins.type_name, ins.properties).ok());
+  }
+  for (size_t i = 0; i < state.by_type[0].size(); ++i) {
+    EXPECT_TRUE(g.SetVertexProperty(state.by_type[0][i], "name",
+                                    PropertyValue(kNamePool[i % 4]))
+                    .ok());
+  }
+  return g;
+}
+
+std::vector<const query::MatchQuery*> MatchesOf(
+    const std::vector<query::Query>& parsed) {
+  std::vector<const query::MatchQuery*> members;
+  for (const query::Query& q : parsed) members.push_back(&q.match());
+  return members;
+}
+
+std::vector<query::Query> ParseAll(const std::vector<std::string>& texts) {
+  std::vector<query::Query> parsed;
+  for (const std::string& text : texts) {
+    auto q = query::ParseQueryText(text);
+    EXPECT_TRUE(q.ok()) << text;
+    if (q.ok()) parsed.push_back(std::move(*q));
+  }
+  return parsed;
+}
+
+// A group whose members do not all carry a string constant scans the
+// type; its string member's table is still the one the index-seeded
+// solo run returns.
+TEST(FusedRunnerTest, MixedConstantTypesFallBackToScan) {
+  PropertyGraph g = NamedJobGraph(47);
+  graph::CsrGraph csr = graph::CsrGraph::Build(g);
+  const std::vector<std::string> texts = {
+      "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.name = 'n1' RETURN j, f",
+      "MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.name = 3 RETURN j, f",
+  };
+  const std::vector<query::Query> parsed = ParseAll(texts);
+  ASSERT_EQ(parsed.size(), texts.size());
+
+  query::FusedGroupStats stats;
+  auto fused = query::ExecuteFusedMatch(g, csr, MatchesOf(parsed),
+                                        query::ExecutorOptions{}, &stats);
+  EXPECT_FALSE(stats.index_seeded);
+  ASSERT_TRUE(fused[0].ok()) << fused[0].status();
+  ASSERT_TRUE(fused[1].ok()) << fused[1].status();
+  EXPECT_EQ(fused[1]->num_rows(), 0u);
+
+  query::QueryExecutor solo(&g, &csr);
+  query::ExecutionTiming timing;
+  auto expected = solo.ExecuteText(texts[0], &timing);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_TRUE(timing.index_seeded);
+  EXPECT_GT(expected->num_rows(), 0u);
+  ExpectTablesIdentical(*expected, *fused[0], texts[0]);
+}
+
+// Index-seeded solo reads and fused groups (whose seeds are the union of
+// their members' probes) return byte-identical tables under every
+// partitioning: parallelism {1, 4} x shards {1, 2}.
+TEST(FusedRunnerTest, IndexSeededTablesIdenticalAcrossPartitions) {
+  PropertyGraph g = NamedJobGraph(53);
+  graph::CsrGraph csr = graph::CsrGraph::Build(g);
+  const std::vector<std::string> texts = {
+      "MATCH (j:Job)-[r*1..3]->(b:Job) WHERE j.name = 'n0' RETURN j, b",
+      "MATCH (j:Job)-[r*1..3]->(b:Job) WHERE j.name = 'n2' RETURN j, b",
+      "MATCH (j:Job)-[r*1..3]->(b:Job) WHERE j.name = 'n3' RETURN j, b",
+  };
+  const std::vector<query::Query> parsed = ParseAll(texts);
+  ASSERT_EQ(parsed.size(), texts.size());
+  const std::vector<const query::MatchQuery*> members = MatchesOf(parsed);
+
+  std::vector<query::Table> reference;
+  for (size_t parallelism : {1u, 4u}) {
+    for (size_t shards : {1u, 2u}) {
+      query::ExecutorOptions options;
+      options.parallelism = parallelism;
+      options.shards = shards;
+      const std::string context = "parallelism " +
+                                  std::to_string(parallelism) + ", shards " +
+                                  std::to_string(shards);
+      query::FusedGroupStats stats;
+      auto fused = query::ExecuteFusedMatch(g, csr, members, options, &stats);
+      EXPECT_TRUE(stats.index_seeded) << context;
+      query::QueryExecutor solo(&g, &csr, options);
+      for (size_t m = 0; m < members.size(); ++m) {
+        ASSERT_TRUE(fused[m].ok()) << context << ": " << fused[m].status();
+        auto alone = solo.ExecuteText(texts[m]);
+        ASSERT_TRUE(alone.ok()) << context << ": " << alone.status();
+        if (reference.size() < members.size()) {
+          EXPECT_GT(alone->num_rows(), 0u) << texts[m];
+          reference.push_back(*alone);
+        }
+        ExpectTablesIdentical(reference[m], *alone, texts[m] + " " + context);
+        ExpectTablesIdentical(reference[m], *fused[m],
+                              texts[m] + " fused, " + context);
+      }
+    }
   }
 }
 

@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -770,6 +772,66 @@ TEST(ConcurrencyTest, PlanCacheMissesRaceBaseStatsRefresh) {
   // The swaps re-insert the edges they remove, so the statistics of
   // the one refresh are still exact for the final graph.
   ExpectPlanOnFreshStats(&engine, kChainQuery);
+}
+
+// Four readers make the first probe of one (type, key) equality index at
+// the same moment while ExecuteBatch runs index-seeded fused groups
+// beside them. The lazy build is serialized by the graph's index mutex
+// (the CI TSan job runs this test); every answer equals what a
+// single-threaded engine returns.
+TEST(ConcurrencyTest, FirstIndexProbesRaceExecuteBatch) {
+  datasets::SocialOptions social;
+  social.num_vertices = 2000;
+  const PropertyGraph graph = datasets::MakeSocialGraph(social);
+  auto text_for = [](int person) {
+    return "MATCH (a:Person)-[:FOLLOWS]->(b:Person) WHERE a.handle = "
+           "'person_" +
+           std::to_string(person) + "' RETURN a, b";
+  };
+  std::vector<std::string> reader_texts;
+  std::vector<std::string> batch;
+  for (int i = 0; i < 4; ++i) reader_texts.push_back(text_for(i * 7));
+  for (int i = 0; i < 6; ++i) batch.push_back(text_for(100 + i * 13));
+
+  // Reference answers from a separate engine, one query at a time.
+  Engine reference{PropertyGraph(graph)};
+  auto expected = [&](const std::string& text) {
+    auto r = reference.Execute(text);
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? r->table.rows() : std::vector<query::Table::Row>{};
+  };
+
+  Engine engine{PropertyGraph(graph)};
+  std::latch start(5);
+  std::atomic<int> reader_failures{0};
+  std::vector<std::vector<query::Table::Row>> reader_results(4);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      auto r = engine.Execute(reader_texts[t]);
+      if (!r.ok()) reader_failures.fetch_add(1);
+      reader_results[t] = r.ok() ? r->table.rows()
+                                 : std::vector<query::Table::Row>{};
+    });
+  }
+  start.arrive_and_wait();
+  auto batch_results = engine.ExecuteBatch(batch);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(reader_failures.load(), 0);
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_EQ(reader_results[t], expected(reader_texts[t])) << reader_texts[t];
+  }
+  ASSERT_EQ(batch_results.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(batch_results[i].ok()) << batch_results[i].status();
+    EXPECT_EQ(batch_results[i]->table.rows(), expected(batch[i])) << batch[i];
+  }
+  const EngineTelemetry telemetry = engine.TelemetrySnapshot();
+  EXPECT_GT(telemetry.fused_groups, 0u);
+  // Four solo reads plus at least the one fused group.
+  EXPECT_GE(telemetry.index_seeded_matches, 5u);
 }
 
 }  // namespace

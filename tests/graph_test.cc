@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "graph/delta.h"
 #include "graph/property_graph.h"
@@ -397,6 +399,106 @@ TEST(RemovalTest, StatsAndCsrSkipDeadElements) {
   GraphStats stats = GraphStats::Compute(g);
   EXPECT_EQ(stats.num_vertices(), 3u);
   EXPECT_EQ(stats.num_edges(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Equality seed index
+// ---------------------------------------------------------------------------
+
+/// Index probe result, ascending by id.
+std::vector<VertexId> Probe(const PropertyGraph& g, VertexTypeId type,
+                            const std::string& key, const std::string& value) {
+  std::vector<VertexId> out;
+  g.ProbeStringEquality(type, key, value, &out);
+  return out;
+}
+
+/// What the probe must return up to hash collisions: the live vertices
+/// of `type` whose `key` equals `value`, found by a scan.
+std::vector<VertexId> Scan(const PropertyGraph& g, VertexTypeId type,
+                           const std::string& key, const std::string& value) {
+  std::vector<VertexId> out;
+  for (VertexId v : g.VerticesOfType(type)) {
+    if (g.VertexProperty(v, key) == PropertyValue(value)) out.push_back(v);
+  }
+  return out;
+}
+
+TEST(EqualityIndexTest, ProbesFollowEveryVertexMutation) {
+  PropertyGraph g(RemovalSchema());
+  const VertexTypeId job = g.schema().FindVertexType("Job");
+  const VertexTypeId file = g.schema().FindVertexType("File");
+  VertexId a = g.AddVertex("Job", {{"name", PropertyValue("a")}}).value();
+  VertexId b = g.AddVertex("Job", {{"name", PropertyValue("b")}}).value();
+  // Same key and value on another type: never in the Job index.
+  VertexId fa = g.AddVertex("File", {{"name", PropertyValue("a")}}).value();
+  VertexId a2 = g.AddVertex("Job", {{"name", PropertyValue("a")}}).value();
+  g.AddVertex("Job", {{"name", PropertyValue(7)}}).value();  // not a string
+
+  // The first probe builds the index.
+  EXPECT_EQ(Probe(g, job, "name", "a"), (std::vector<VertexId>{a, a2}));
+  EXPECT_EQ(Probe(g, file, "name", "a"), (std::vector<VertexId>{fa}));
+  EXPECT_TRUE(Probe(g, job, "name", "7").empty());
+  EXPECT_TRUE(Probe(g, job, "missing", "a").empty());
+
+  // AddVertex after the build.
+  VertexId a3 = g.AddVertex("Job", {{"name", PropertyValue("a")}}).value();
+  EXPECT_EQ(Probe(g, job, "name", "a"), (std::vector<VertexId>{a, a2, a3}));
+
+  // SetVertexProperty: string -> int -> string.
+  ASSERT_TRUE(g.SetVertexProperty(a2, "name", PropertyValue(5)).ok());
+  EXPECT_EQ(Probe(g, job, "name", "a"), (std::vector<VertexId>{a, a3}));
+  ASSERT_TRUE(g.SetVertexProperty(a2, "name", PropertyValue("b")).ok());
+  EXPECT_EQ(Probe(g, job, "name", "b"), (std::vector<VertexId>{b, a2}));
+  // Another key on an indexed vertex leaves the index alone.
+  ASSERT_TRUE(g.SetVertexProperty(b, "owner", PropertyValue("a")).ok());
+  EXPECT_EQ(Probe(g, job, "name", "a"), (std::vector<VertexId>{a, a3}));
+
+  // RemoveVertex drops the tombstone from the index.
+  ASSERT_TRUE(g.RemoveVertex(a).ok());
+  EXPECT_EQ(Probe(g, job, "name", "a"), (std::vector<VertexId>{a3}));
+  // A property set on a dead vertex does not revive it in the index.
+  ASSERT_TRUE(g.SetVertexProperty(a, "name", PropertyValue("b")).ok());
+  EXPECT_EQ(Probe(g, job, "name", "b"), Scan(g, job, "name", "b"));
+
+  for (const char* value : {"a", "b", "c"}) {
+    EXPECT_EQ(Probe(g, job, "name", value), Scan(g, job, "name", value))
+        << value;
+  }
+}
+
+TEST(EqualityIndexTest, CopiesDropTheIndexAndBuildTheirOwn) {
+  PropertyGraph g(RemovalSchema());
+  const VertexTypeId job = g.schema().FindVertexType("Job");
+  VertexId a = g.AddVertex("Job", {{"name", PropertyValue("a")}}).value();
+  ASSERT_EQ(Probe(g, job, "name", "a"), (std::vector<VertexId>{a}));
+
+  PropertyGraph copy(g);
+  VertexId c = copy.AddVertex("Job", {{"name", PropertyValue("a")}}).value();
+  ASSERT_TRUE(copy.SetVertexProperty(a, "name", PropertyValue("z")).ok());
+  // The copy answers from its own state; the original is untouched.
+  EXPECT_EQ(Probe(copy, job, "name", "a"), (std::vector<VertexId>{c}));
+  EXPECT_EQ(Probe(copy, job, "name", "z"), (std::vector<VertexId>{a}));
+  EXPECT_EQ(Probe(g, job, "name", "a"), (std::vector<VertexId>{a}));
+  EXPECT_TRUE(Probe(g, job, "name", "z").empty());
+
+  // Assignment replaces the target's index with a lazily rebuilt one.
+  g = copy;
+  EXPECT_EQ(Probe(g, job, "name", "a"), (std::vector<VertexId>{c}));
+}
+
+TEST(RemovalTest, ReleaseEdgePropertiesRefusesLiveEdges) {
+  PropertyGraph g(RemovalSchema());
+  VertexId j = g.AddVertex("Job").value();
+  VertexId f = g.AddVertex("File").value();
+  EdgeId e = g.AddEdge(j, f, "WRITES_TO", {{"w", PropertyValue(7)}}).value();
+  EXPECT_EQ(g.ReleaseEdgeProperties(e).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(g.EdgeProperty(e, "w"), PropertyValue(7));
+  EXPECT_EQ(g.ReleaseEdgeProperties(99).code(), StatusCode::kOutOfRange);
+  ASSERT_TRUE(g.RemoveEdge(e).ok());
+  ASSERT_TRUE(g.ReleaseEdgeProperties(e).ok());
+  EXPECT_TRUE(g.EdgeProperties(e).empty());
+  EXPECT_EQ(g.Edge(e).source, j);  // the record stays
 }
 
 TEST(GraphDeltaTest, CoalesceDropsDuplicateRemovals) {

@@ -6,6 +6,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/maintenance.h"
 #include "core/materializer.h"
@@ -401,6 +403,49 @@ TEST(MaintenanceTest, RemovingLastPathDropsEdgeAndCollectsOrphans) {
   EXPECT_EQ(readd->vertices_added, 2u);
   EXPECT_EQ(Canonicalize(view->graph),
             Canonicalize(Materialize(g, JobConnector())->graph));
+}
+
+// A view graph's equality index stays exact while maintenance collects
+// a view vertex and re-adds it under a new id, and a dropped connector
+// edge gives back its "paths" property map.
+TEST(MaintenanceTest, ViewIndexFollowsCollectedAndReaddedVertices) {
+  PropertyGraph g(LineageSchema());
+  VertexId j1 = g.AddVertex("Job", {{"name", PropertyValue("j1")}}).value();
+  VertexId j2 = g.AddVertex("Job", {{"name", PropertyValue("j2")}}).value();
+  VertexId f = g.AddVertex("File").value();
+  ASSERT_TRUE(g.AddEdge(j1, f, "WRITES_TO").ok());
+  EdgeId doomed = g.AddEdge(f, j2, "IS_READ_BY").value();
+
+  auto view = Materialize(g, JobConnector());
+  ASSERT_TRUE(view.ok());
+  ViewMaintainer maintainer(&g, &*view);
+  const PropertyGraph& vg = view->graph;
+  const graph::VertexTypeId job = vg.schema().FindVertexType("Job");
+  auto probe = [&](const std::string& name) {
+    std::vector<VertexId> out;
+    vg.ProbeStringEquality(job, "name", name, &out);
+    return out;
+  };
+  const std::vector<VertexId> before = probe("j1");
+  ASSERT_EQ(before.size(), 1u);  // builds the view's index
+  const EdgeId connector = vg.OutEdges(before[0]).front();
+
+  ASSERT_TRUE(g.RemoveEdge(doomed).ok());
+  ASSERT_TRUE(maintainer.OnEdgeRemoved(doomed).ok());
+  EXPECT_TRUE(probe("j1").empty());  // collected
+  EXPECT_TRUE(probe("j2").empty());
+  EXPECT_FALSE(vg.IsEdgeLive(connector));
+  EXPECT_TRUE(vg.EdgeProperties(connector).empty());
+
+  EdgeId back = g.AddEdge(f, j2, "IS_READ_BY").value();
+  ASSERT_TRUE(maintainer.OnEdgeAdded(back).ok());
+  const std::vector<VertexId> after = probe("j1");
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_NE(after[0], before[0]);  // re-added under a new id
+  EXPECT_TRUE(vg.IsVertexLive(after[0]));
+  EXPECT_EQ(view->view_to_base[after[0]], j1);
+  EXPECT_EQ(vg.EdgeProperty(vg.OutEdges(after[0]).front(), "paths"),
+            PropertyValue(1));
 }
 
 TEST(MaintenanceTest, SummarizerRemovalIsConstantTimeLookup) {

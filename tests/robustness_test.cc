@@ -253,6 +253,33 @@ TEST(ExplainTest, RendersPlanTree) {
   EXPECT_NE(plan.find("estimated cost:"), std::string::npos);
 }
 
+TEST(ExplainTest, NamesTheSeedSource) {
+  PropertyGraph g = datasets::MakeProvenanceGraph(
+      {.num_jobs = 20, .num_files = 40, .include_auxiliary = false});
+  auto stats = graph::GraphStats::Compute(g);
+  auto explain = [&](const std::string& text) {
+    auto q = query::ParseQueryText(text);
+    EXPECT_TRUE(q.ok()) << text;
+    return q.ok() ? query::ExplainQuery(*q, g, stats) : std::string();
+  };
+  EXPECT_NE(explain("MATCH (a:Job)-[:WRITES_TO]->(f:File) WHERE a.name = "
+                    "'job_3' RETURN f")
+                .find("seed (a:Job)  index Job.name"),
+            std::string::npos);
+  // Not a string equality: the seed scans its type.
+  EXPECT_NE(explain("MATCH (a:Job)-[:WRITES_TO]->(f:File) WHERE a.CPU = 3 "
+                    "RETURN f")
+                .find("seed (a:Job)  scan Job, 20 vertices"),
+            std::string::npos);
+  // The plan seeds at the smaller type, whichever node comes first.
+  EXPECT_NE(explain("MATCH (f:File)-[:IS_READ_BY]->(a:Job) RETURN f")
+                .find("seed (a:Job)  scan Job"),
+            std::string::npos);
+  EXPECT_NE(explain("MATCH (a)-[r*1..2]->(b) WHERE a.name = 'job_3' RETURN b")
+                .find("seed (a)  scan all, 60 vertices"),
+            std::string::npos);
+}
+
 TEST(ExplainTest, CostOrderingVisibleAcrossPlans) {
   PropertyGraph g = datasets::MakeProvenanceGraph(
       {.num_jobs = 50, .num_files = 100, .include_auxiliary = false});

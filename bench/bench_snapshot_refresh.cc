@@ -18,12 +18,22 @@
 /// the touched-vertex heuristic in `ViewCatalog::NoteBaseDelta` — so
 /// snapshot production takes the full-build path by design).
 ///
+/// A last section drives `CsrGraph::PatchedFrom` directly and compares
+/// the per-segment cost of a patch (clean rows copied, dirty rows
+/// re-derived) with `CsrGraph::BuildSegment` re-deriving the same
+/// segments from scratch. It exits non-zero when a patch re-derives
+/// more than two rows per delta endpoint — one out and one in row per
+/// dirty vertex is the most vertex-granular patching can need, so a
+/// regression to segment-granular re-derivation fails the run on a
+/// deterministic count, not on a timing.
+///
 /// `--json[=path]` additionally writes BENCH_snapshot_refresh.json.
 
 #include <algorithm>
 #include <cstdio>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -40,6 +50,7 @@ using kaskade::bench::PrintHeader;
 using kaskade::bench::TimeSeconds;
 using kaskade::core::Engine;
 using kaskade::core::EngineOptions;
+using kaskade::graph::CsrGraph;
 using kaskade::graph::EdgeId;
 using kaskade::graph::GraphDelta;
 using kaskade::graph::PropertyGraph;
@@ -64,6 +75,29 @@ PropertyGraph RefreshBenchGraph() {
 const char* kFirstQuery =
     "MATCH (a:Person)-[:FOLLOWS]->(b:Person) "
     "WHERE a.handle = 'person_4242' RETURN a, b";
+
+/// `delta_edges` FOLLOWS mutations: half removals of random `live`
+/// edges (while more than 16 remain) and half inserts between random
+/// endpoints below `span`.
+GraphDelta RandomDelta(std::mt19937_64& rng, std::vector<EdgeId>& live,
+                       size_t delta_edges, size_t span) {
+  GraphDelta delta;
+  const size_t removals = live.size() > 16 ? delta_edges / 2 : 0;
+  const size_t inserts = delta_edges - removals;
+  for (size_t i = 0; i < removals && !live.empty(); ++i) {
+    size_t slot = rng() % live.size();
+    delta.RemoveEdge(live[slot]);
+    live[slot] = live.back();
+    live.pop_back();
+  }
+  for (size_t i = 0; i < inserts; ++i) {
+    VertexId src = static_cast<VertexId>(rng() % span);
+    VertexId dst = static_cast<VertexId>(rng() % span);
+    if (src == dst) dst = (dst + 1) % span;
+    delta.AddEdge(src, dst, "FOLLOWS", {});
+  }
+  return delta;
+}
 
 struct ModeResult {
   double snapshot_seconds = 0;      // min over iterations (noise floor)
@@ -97,22 +131,7 @@ ModeResult RunMode(const PropertyGraph& graph, bool patching,
 
   ModeResult result;
   for (int it = 0; it < iterations; ++it) {
-    GraphDelta delta;
-    const size_t removals = delta_edges / 2;
-    const size_t inserts = delta_edges - removals;
-    for (size_t i = 0; i < removals && !live.empty(); ++i) {
-      size_t slot = rng() % live.size();
-      delta.RemoveEdge(live[slot]);
-      live[slot] = live.back();
-      live.pop_back();
-    }
-    for (size_t i = 0; i < inserts; ++i) {
-      VertexId src = static_cast<VertexId>(rng() % num_people);
-      VertexId dst = static_cast<VertexId>(rng() % num_people);
-      if (src == dst) dst = (dst + 1) % num_people;
-      delta.AddEdge(src, dst, "FOLLOWS", {});
-    }
-
+    GraphDelta delta = RandomDelta(rng, live, delta_edges, num_people);
     double snapshot_seconds = 0;
     double query_seconds = 0;
     double apply_seconds = TimeSeconds([&] {
@@ -179,22 +198,8 @@ SharingResult RunSharingMode(const PropertyGraph& graph, size_t delta_edges,
   const size_t full_before = engine.catalog().snapshot_full_builds();
 
   for (int it = 0; it < iterations; ++it) {
-    GraphDelta delta;
-    const size_t removals = live.size() > 16 ? delta_edges / 2 : 0;
-    const size_t inserts = delta_edges - removals;
-    for (size_t i = 0; i < removals && !live.empty(); ++i) {
-      size_t slot = rng() % live.size();
-      delta.RemoveEdge(live[slot]);
-      live[slot] = live.back();
-      live.pop_back();
-    }
-    const size_t span = clustered ? window : num_people;
-    for (size_t i = 0; i < inserts; ++i) {
-      VertexId src = static_cast<VertexId>(rng() % span);
-      VertexId dst = static_cast<VertexId>(rng() % span);
-      if (src == dst) dst = (dst + 1) % span;
-      delta.AddEdge(src, dst, "FOLLOWS", {});
-    }
+    GraphDelta delta = RandomDelta(rng, live, delta_edges,
+                                   clustered ? window : num_people);
     auto report = OrDie(engine.ApplyDelta(std::move(delta)), "ApplyDelta");
     for (EdgeId e : report.new_edges) live.push_back(e);
     (void)engine.catalog().BaseSnapshot();
@@ -213,10 +218,87 @@ SharingResult RunSharingMode(const PropertyGraph& graph, size_t delta_edges,
   return result;
 }
 
+struct SpliceResult {
+  double splice_us_per_segment = 0;  // PatchedFrom time / segments produced
+  double build_us_per_segment = 0;   // BuildSegment on the same segments
+  double segments_per_patch = 0;
+  double rows_rederived_per_patch = 0;
+  double endpoints_per_patch = 0;
+  size_t full_rebuilds = 0;
+  // First patch that re-derived more than 2 rows per delta endpoint.
+  size_t over_rows = 0;
+  size_t over_endpoints = 0;
+};
+
+/// Patches a standalone snapshot through `iterations` deltas drawn like
+/// `RunSharingMode`'s and times, per produced segment, the patch
+/// against `BuildSegment` re-deriving that segment from scratch.
+SpliceResult RunSpliceMode(const PropertyGraph& graph, size_t delta_edges,
+                           bool clustered, int iterations) {
+  PropertyGraph g(graph);
+  CsrGraph prev = CsrGraph::Build(g);
+  std::mt19937_64 rng(99);
+  const size_t num_people = g.NumVertices();
+  const size_t window =
+      std::min<size_t>(kaskade::graph::kCsrSegmentVertices, num_people);
+  std::vector<EdgeId> live;
+  if (!clustered) {
+    live.reserve(g.NumEdges());
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) live.push_back(e);
+  }
+
+  SpliceResult result;
+  double splice_s = 0;
+  double build_s = 0;
+  size_t segments = 0;
+  size_t rows = 0;
+  size_t endpoints = 0;
+  for (int it = 0; it < iterations; ++it) {
+    GraphDelta delta = RandomDelta(rng, live, delta_edges,
+                                   clustered ? window : num_people);
+    auto applied = OrDie(kaskade::graph::ApplyDeltaToGraph(&g, delta),
+                         "ApplyDeltaToGraph");
+    for (EdgeId e : applied.new_edges) live.push_back(e);
+
+    kaskade::graph::CsrPatchStats stats;
+    CsrGraph next;
+    splice_s += TimeSeconds(
+        [&] { next = CsrGraph::PatchedFrom(prev, g, delta, {}, &stats); });
+    if (stats.full_rebuild) ++result.full_rebuilds;
+    for (size_t s = 0; s < next.num_segments(); ++s) {
+      if (s < prev.num_segments() && next.segment(s) == prev.segment(s)) {
+        continue;  // shared, not produced
+      }
+      build_s += TimeSeconds(
+          [&] { (void)CsrGraph::BuildSegment(g, s); });
+    }
+    const size_t delta_endpoints =
+        2 * (delta.edge_removals.size() + delta.edge_inserts.size());
+    if (stats.rows_rederived > 2 * delta_endpoints && result.over_rows == 0) {
+      result.over_rows = stats.rows_rederived;
+      result.over_endpoints = delta_endpoints;
+    }
+    segments += stats.segments_copied;
+    rows += stats.rows_rederived;
+    endpoints += delta_endpoints;
+    prev = std::move(next);
+  }
+  const double n = iterations;
+  const double segs = std::max<size_t>(segments, 1);
+  result.splice_us_per_segment = splice_s * 1e6 / segs;
+  result.build_us_per_segment = build_s * 1e6 / segs;
+  result.segments_per_patch = segments / n;
+  result.rows_rederived_per_patch = rows / n;
+  result.endpoints_per_patch = endpoints / n;
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   JsonReport::Init(argc, argv, "snapshot_refresh");
+  JsonReport::Record("meta", "hardware_threads",
+                     static_cast<double>(std::thread::hardware_concurrency()));
 
   PropertyGraph graph = RefreshBenchGraph();
   const size_t num_edges = graph.NumLiveEdges();
@@ -345,5 +427,50 @@ int main(int argc, char** argv) {
     }
   }
   if (!sharing_ok) return 1;
+
+  // ---- Splice vs BuildSegment: per produced segment -------------------
+  // A patch copies a dirty segment's clean rows and re-derives only its
+  // dirty ones, so its per-segment cost tracks the segment's bytes plus
+  // the dirty vertices' degree, while BuildSegment re-derives every row.
+  // The uniform 0.1% delta dirties nearly every segment; there the
+  // splice is what keeps patching cheaper than a rebuild.
+  PrintHeader("splice vs BuildSegment: per produced segment");
+  std::printf("%-26s %8s %10s %10s %8s %12s %10s\n", "case", "segs/p",
+              "splice_us", "build_us", "speedup", "rows/patch", "endpts/p");
+  const SharingCase kSplice[] = {
+      {"splice_1_edge", 1, false, 0},
+      {"splice_0.1pct_clustered", num_edges / 1000, true, 0},
+      {"splice_0.1pct_uniform", num_edges / 1000, false, 0},
+  };
+  bool splice_ok = true;
+  for (const SharingCase& c : kSplice) {
+    SpliceResult r = RunSpliceMode(graph, c.edges, c.clustered, kIterations);
+    const double speedup = r.splice_us_per_segment > 0
+                               ? r.build_us_per_segment / r.splice_us_per_segment
+                               : 0;
+    std::printf("%-26s %8.1f %10.1f %10.1f %7.1fx %12.1f %10.1f\n", c.label,
+                r.segments_per_patch, r.splice_us_per_segment,
+                r.build_us_per_segment, speedup, r.rows_rederived_per_patch,
+                r.endpoints_per_patch);
+    JsonReport::Record(c.label, "delta_edges", double(c.edges));
+    JsonReport::Record(c.label, "segments_per_patch", r.segments_per_patch);
+    JsonReport::Record(c.label, "splice_us_per_segment",
+                       r.splice_us_per_segment);
+    JsonReport::Record(c.label, "build_segment_us_per_segment",
+                       r.build_us_per_segment);
+    JsonReport::Record(c.label, "splice_speedup", speedup);
+    JsonReport::Record(c.label, "rows_rederived_per_patch",
+                       r.rows_rederived_per_patch);
+    JsonReport::Record(c.label, "delta_endpoints_per_patch",
+                       r.endpoints_per_patch);
+    JsonReport::Record(c.label, "full_rebuilds", double(r.full_rebuilds));
+    if (r.full_rebuilds > 0 || r.over_rows > 0) {
+      std::printf("FAIL: %s re-derived %zu rows for %zu delta endpoints "
+                  "(bound 2 per endpoint), %zu full rebuilds\n",
+                  c.label, r.over_rows, r.over_endpoints, r.full_rebuilds);
+      splice_ok = false;
+    }
+  }
+  if (!splice_ok) return 1;
   return JsonReport::Finish();
 }

@@ -154,7 +154,6 @@ class ViewCatalog {
         base_stats_(std::make_shared<const graph::GraphStats>(
             graph::GraphStats::Compute(*base))),
         announced_base_shape_(ShapeOfBase()),
-        effective_dirty_fraction_(patch_options.max_dirty_fraction),
         store_(shards >= 2 ? std::make_unique<SegmentStore>(base, shards)
                            : nullptr) {}
 
@@ -348,9 +347,9 @@ class ViewCatalog {
   ///
   /// Totals over every snapshot production on either path (the
   /// single-slot `PatchedFrom` path and, when sharded, the
-  /// `SegmentStore` refreshes): immutable CSR segments rebuilt vs
-  /// shared by refcount with the previous generation, and the bytes
-  /// the rebuilt ones cost. `patch_bytes_copied` growing with the
+  /// `SegmentStore` refreshes): immutable CSR segments produced anew
+  /// vs shared by refcount with the previous generation, and the bytes
+  /// the produced ones cost. `patch_bytes_copied` growing with the
   /// delta size while `patch_segments_shared` tracks |V|/segment_size
   /// is the O(delta) patching claim, measurable in production.
   /// @{
@@ -378,21 +377,6 @@ class ViewCatalog {
   std::vector<uint64_t> shard_writer_acquisitions() const {
     return store_ != nullptr ? store_->writer_acquisitions()
                              : std::vector<uint64_t>{};
-  }
-
-  /// The dirty-fraction threshold the patch path currently runs with.
-  /// Starts at `patch_options().max_dirty_fraction` (the configured
-  /// floor) and is auto-tuned upward — never below the floor, never
-  /// above 0.95 — from observed patch cost: segments make the cost
-  /// model sharp, so the tuner raises the threshold while patches keep
-  /// copying well under the full segment set (a "dirty" patch is then
-  /// still cheap — dirty segments rebuild through the same
-  /// `BuildSegment` code a full rebuild would run, clean ones are
-  /// free), and backs off toward the floor when patches approach
-  /// full-rebuild cost.
-  double effective_max_dirty_fraction() const {
-    std::lock_guard<std::mutex> lock(tune_mu_);
-    return effective_dirty_fraction_;
   }
 
   /// Installs the fault-injection hook for the sites the catalog owns
@@ -486,10 +470,6 @@ class ViewCatalog {
   /// Quarantine with `mu_` already held exclusively.
   void QuarantineLocked(CatalogEntry* entry, Status reason);
 
-  /// Feeds one `PatchedFrom` outcome into the segment telemetry totals
-  /// and the dirty-fraction auto-tuner.
-  void ObservePatch(const graph::CsrPatchStats& stats) const;
-
   const graph::PropertyGraph* base_;
   graph::CsrPatchOptions patch_options_;
   mutable std::shared_mutex mu_;
@@ -515,12 +495,6 @@ class ViewCatalog {
   mutable std::atomic<uint64_t> patch_segments_copied_{0};
   mutable std::atomic<uint64_t> patch_segments_shared_{0};
   mutable std::atomic<uint64_t> patch_bytes_copied_{0};
-  /// Auto-tuner state (see `effective_max_dirty_fraction`). Guarded by
-  /// its own mutex: updated on the reader path after each patch.
-  mutable std::mutex tune_mu_;
-  mutable double effective_dirty_fraction_;
-  /// EWMA of the per-patch copied-segment fraction, seeded pessimistic.
-  mutable double copy_ratio_ewma_ = 1.0;
   /// Per-shard base-snapshot pipeline; null when `shards == 1`.
   std::unique_ptr<SegmentStore> store_;
   std::atomic<size_t> quarantine_events_{0};

@@ -643,7 +643,6 @@ EngineTelemetry Engine::TelemetrySnapshot() const {
   t.patch_segments_copied = catalog_.patch_segments_copied();
   t.patch_segments_shared = catalog_.patch_segments_shared();
   t.patch_bytes_copied = catalog_.patch_bytes_copied();
-  t.effective_dirty_fraction = catalog_.effective_max_dirty_fraction();
   t.shard_writer_acquisitions = catalog_.shard_writer_acquisitions();
   if (wal_ != nullptr) {
     durability::WalTelemetry wal = wal_->telemetry();

@@ -321,7 +321,7 @@ struct EngineTelemetry {
   /// @}
   /// \name Segmented snapshot patching (immutable-segment CSR).
   /// @{
-  /// Immutable CSR segments rebuilt across all snapshot productions
+  /// Immutable CSR segments produced anew across all snapshot productions
   /// (the cost a patch actually paid) vs shared by refcount with the
   /// previous generation (the cost it avoided). `patch_bytes_copied`
   /// tracking the delta size while shared segments track |V| is the
@@ -329,10 +329,6 @@ struct EngineTelemetry {
   uint64_t patch_segments_copied = 0;
   uint64_t patch_segments_shared = 0;
   uint64_t patch_bytes_copied = 0;
-  /// The dirty-fraction threshold the patch path currently runs with
-  /// (auto-tuned upward from the configured floor; see
-  /// `ViewCatalog::effective_max_dirty_fraction`).
-  double effective_dirty_fraction = 0.0;
   /// Per-shard snapshot writer-lock acquisitions; empty when
   /// `EngineOptions::shards == 1`.
   std::vector<uint64_t> shard_writer_acquisitions;

@@ -143,7 +143,12 @@ Result<Plan> Planner::PlanFor(const std::string& query_text,
     if (shard.index.find(key) == shard.index.end()) {
       shard.lru.emplace_front(key, plan);
       shard.index.emplace(key, shard.lru.begin());
-      while (shard.lru.size() > per_shard_capacity_) {
+      // Lookups key on the current generation, which only grows, so an
+      // entry planned against an older one can never hit again. Such
+      // entries were last used before any current one: drop them from
+      // the tail instead of letting them hold memory until capacity.
+      while (shard.lru.size() > per_shard_capacity_ ||
+             shard.lru.back().first.generation < key.generation) {
         shard.index.erase(shard.lru.back().first);
         shard.lru.pop_back();
       }

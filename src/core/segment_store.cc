@@ -1,5 +1,6 @@
 #include "core/segment_store.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace kaskade::core {
@@ -23,6 +24,9 @@ void SegmentStore::SyncShape() {
     segments_.resize(num_segs);
     seg_dirty_.resize(num_segs, 1);
   }
+  // Appended vertices need no flag: they lie past the end of their
+  // segment's previous version and are re-derived regardless.
+  vertex_dirty_.resize(n, 0);
   vertices_seen_ = n;
   edges_seen_ = base_->NumEdges();
 }
@@ -56,6 +60,7 @@ void SegmentStore::NoteDelta(const graph::DeltaFootprintPtr& delta) {
   auto mark = [&](graph::VertexId v) {
     const size_t s = graph::CsrSegmentOf(v);
     if (s < num_segs) seg_dirty_[s] = 1;
+    if (v < vertex_dirty_.size()) vertex_dirty_[v] = 1;
   };
   if (n != prev_vertices && (prev_vertices >> graph::kCsrSegmentShift) <
                                 num_segs) {
@@ -121,14 +126,19 @@ std::shared_ptr<const graph::CsrGraph> SegmentStore::Snapshot(
     uint64_t shard_shared = 0;
     uint64_t bytes = 0;
     for (size_t seg = s; seg < num_segs; seg += k) {
-      if (all || seg_dirty_[seg] != 0 || segments_[seg] == nullptr) {
-        segments_[seg] = graph::CsrGraph::BuildSegment(*base_, seg);
-        seg_dirty_[seg] = 0;
-        ++shard_copied;
-        bytes += segments_[seg]->ByteSize();
-      } else {
+      const graph::CsrSegment* prev = all ? nullptr : segments_[seg].get();
+      if (prev != nullptr && seg_dirty_[seg] == 0) {
         ++shard_shared;
+        continue;
       }
+      uint8_t* dirty =
+          vertex_dirty_.data() + (seg << graph::kCsrSegmentShift);
+      segments_[seg] =
+          graph::CsrGraph::BuildSegment(*base_, seg, prev, dirty);
+      std::fill(dirty, dirty + segments_[seg]->num_vertices, 0);
+      seg_dirty_[seg] = 0;
+      ++shard_copied;
+      bytes += segments_[seg]->ByteSize();
     }
     copied += shard_copied;
     shared += shard_shared;
@@ -146,7 +156,11 @@ std::shared_ptr<const graph::CsrGraph> SegmentStore::Snapshot(
       graph::CsrGraph::FromSegments(std::move(segs), base_->NumVertices(),
                                     static_cast<graph::EdgeId>(
                                         base_->NumEdges())));
-  oc = (copied > 0 && shared == 0) ? Outcome::kFullBuild : Outcome::kPatch;
+  // A version bump that dirtied nothing (say, a view registration)
+  // produced no segment: that is a hit, as the single-slot re-stamp is.
+  oc = copied == 0   ? Outcome::kHit
+       : shared == 0 ? Outcome::kFullBuild
+                     : Outcome::kPatch;
   std::lock_guard<std::mutex> lock(cache_mu_);
   if (cache_ != nullptr && cache_version_ == version) return cache_;
   cache_ = std::move(built);

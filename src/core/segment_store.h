@@ -10,15 +10,18 @@
 ///
 ///  - the segment slots for its segments,
 ///  - a writer mutex serializing refreshes of *that shard only*, and
-///  - a dirty-segment set fed by `NoteDelta` with O(|delta|) work.
+///  - the dirty segments and dirty vertices `NoteDelta` marked with
+///    O(|delta|) work.
 ///
 /// Snapshot production is then per-shard incremental: a stale shard
-/// rebuilds only its dirty segments (via `CsrGraph::BuildSegment`, the
-/// same routine `CsrGraph::Build` uses — so the assembled snapshot is
-/// byte-identical to a fresh build by construction) and shares every
-/// clean segment with the previous generation by refcount. Concurrent
-/// readers refreshing *different* shards proceed in parallel; only
-/// same-shard refreshes serialize on that shard's writer lock.
+/// shares every clean segment with the previous generation by refcount
+/// and produces each dirty one through `CsrGraph::BuildSegment` with
+/// the per-vertex dirty flags, exactly as `CsrGraph::PatchedFrom` does:
+/// clean rows are copied, dirty rows re-derived by the row code a fresh
+/// build runs, so the assembled snapshot is byte-identical to a fresh
+/// build by construction. Concurrent readers refreshing *different*
+/// shards proceed in parallel; only same-shard refreshes serialize on
+/// that shard's writer lock.
 ///
 /// Locking contract (the Engine's reader/writer discipline):
 ///  - `NoteDelta` / `NoteChanged` run under the engine writer lock —
@@ -48,7 +51,7 @@ class SegmentStore {
  public:
   /// What one `Snapshot` call did, for the catalog's telemetry split.
   enum class Outcome {
-    kHit,        ///< version-cached snapshot returned, nothing produced
+    kHit,        ///< nothing produced: version-cached, or no segment stale
     kPatch,      ///< produced; at least one segment was shared
     kFullBuild,  ///< produced; every segment was (re)built
   };
@@ -60,9 +63,9 @@ class SegmentStore {
   SegmentStore(const SegmentStore&) = delete;
   SegmentStore& operator=(const SegmentStore&) = delete;
 
-  /// Records one applied base batch: marks the segments of every
-  /// removal endpoint and every appended edge's endpoints dirty in
-  /// their owning shards — O(|delta|), independent of |E|. A null
+  /// Records one applied base batch: marks every removal endpoint and
+  /// every appended edge's endpoints dirty, with their segments —
+  /// O(|delta|), independent of |E|. A null
   /// footprint (out-of-band mutation) marks every shard for a full
   /// per-shard rebuild. Engine writer lock required.
   void NoteDelta(const graph::DeltaFootprintPtr& delta);
@@ -74,7 +77,7 @@ class SegmentStore {
 
   /// Returns the snapshot for the current graph state, stamped
   /// `version` (the catalog generation). Stale shards are refreshed
-  /// under their own writer locks — dirty segments rebuilt, clean ones
+  /// under their own writer locks — dirty segments spliced, clean ones
   /// shared — then the per-shard segment tables are assembled into one
   /// `CsrGraph` and cached by version. Engine reader lock required.
   std::shared_ptr<const graph::CsrGraph> Snapshot(
@@ -117,7 +120,8 @@ class SegmentStore {
   };
 
   /// Grows/shrinks the segment table to the graph's current segment
-  /// count (new slots start dirty) and syncs the seen counters. Caller
+  /// count (new slots start dirty), sizes the vertex dirty flags to the
+  /// vertex count and syncs the seen counters. Caller
   /// holds the engine writer lock.
   void SyncShape();
 
@@ -131,10 +135,12 @@ class SegmentStore {
   /// The vector itself is only resized under the engine writer lock
   /// (`SyncShape`), never concurrently with `Snapshot`.
   mutable std::vector<graph::CsrSegmentPtr> segments_;
-  /// Dirty flags, indexed by segment; set by `NoteDelta` (writer lock),
-  /// cleared by the owning shard's refresh (shard lock). Distinct bytes
-  /// are distinct memory locations, so cross-shard clears don't race.
+  /// Dirty flags, indexed by segment and by vertex; set by `NoteDelta`
+  /// (writer lock), cleared by the owning shard's refresh (shard lock).
+  /// Distinct bytes are distinct memory locations, so cross-shard clears
+  /// don't race.
   mutable std::vector<uint8_t> seg_dirty_;
+  mutable std::vector<uint8_t> vertex_dirty_;
 
   /// Graph shape at the last `NoteDelta`/`NoteChanged`, for discovering
   /// appended vertices/edges from id-space growth (no log needed).

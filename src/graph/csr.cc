@@ -1,6 +1,7 @@
 #include "graph/csr.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <deque>
 #include <tuple>
 #include <unordered_map>
@@ -14,18 +15,187 @@ size_t VectorBytes(const V& v) {
   return v.size() * sizeof(typename V::value_type);
 }
 
+// Reserves room for `n` elements, rounded up to whole 4 KiB pages once
+// past one page; for the arrays whose length follows the edge count. A
+// patch frees the segments it replaces; with sizes quantized, the next
+// patch of the same segment mostly fits in the blocks just freed
+// instead of fragmenting the heap (exact sizes cost social_churn
+// ~5 MiB of peak RSS in free-but-resident heap).
+template <typename T>
+void ReservePages(std::vector<T>& v, size_t n) {
+  size_t bytes = n * sizeof(T);
+  if (bytes > 4096) bytes = (bytes + 4095) & ~size_t{4095};
+  v.reserve(bytes / sizeof(T));
+}
+
+// One slice entry: the canonical per-vertex order is
+// (edge type, neighbor, edge id) — grouped by type so a typed expansion
+// is one contiguous slice, sorted by neighbor within the type so filter
+// edges (cycle closings) resolve by binary search, base insertion order
+// surviving within (type, neighbor) because edge ids are distinct and
+// ascend in insertion order.
+struct SliceEntry {
+  EdgeTypeId type;
+  VertexId nbr;
+  EdgeId id;
+
+  bool operator<(const SliceEntry& o) const {
+    return std::tie(type, nbr, id) < std::tie(o.type, o.nbr, o.id);
+  }
+};
+
+// The arrays of one side (out or in) of a segment.
+struct SideFields {
+  bool out;
+  std::vector<uint32_t> CsrSegment::*offsets;
+  std::vector<VertexId> CsrSegment::*nbrs;
+  std::vector<EdgeId> CsrSegment::*edge_ids;
+  std::vector<uint32_t> CsrSegment::*dir_offsets;
+  std::vector<CsrSegment::TypeDirEntry> CsrSegment::*dirs;
+};
+constexpr SideFields kOutSide{true,
+                              &CsrSegment::out_offsets,
+                              &CsrSegment::out_targets,
+                              &CsrSegment::out_edge_ids,
+                              &CsrSegment::out_type_dir_offsets,
+                              &CsrSegment::out_type_dirs};
+constexpr SideFields kInSide{false,
+                             &CsrSegment::in_offsets,
+                             &CsrSegment::in_sources,
+                             &CsrSegment::in_edge_ids,
+                             &CsrSegment::in_type_dir_offsets,
+                             &CsrSegment::in_type_dirs};
+
+// Appends vertex `v`'s slice on `side` to `entries` in canonical order.
+// Adjacency lists hold live edges only; a dead vertex's are empty, so
+// it keeps an empty row and base ids stay valid as CSR indices.
+void DeriveRow(const PropertyGraph& g, bool out_side, VertexId v,
+               std::vector<SliceEntry>* entries) {
+  const std::vector<EdgeId>& ids = out_side ? g.OutEdges(v) : g.InEdges(v);
+  const size_t begin = entries->size();
+  for (EdgeId e : ids) {
+    const EdgeRecord& rec = g.Edge(e);
+    entries->push_back(SliceEntry{rec.type, out_side ? rec.target : rec.source,
+                                  e});
+  }
+  const auto row = entries->begin() + static_cast<ptrdiff_t>(begin);
+  if (!std::is_sorted(row, entries->end())) std::sort(row, entries->end());
+}
+
+// Fills `seg`'s arrays for `side`: a counting pass re-derives the dirty
+// rows into `entries` and sizes every array, then an emit pass
+// copies maximal clean runs from `prev` (rebased by one constant per
+// run) and writes the dirty rows from `entries`. Returns the number of
+// rows re-derived.
+template <typename IsDirty>
+size_t BuildSide(const PropertyGraph& g, const SideFields& side,
+                 const CsrSegment* prev, const IsDirty& is_dirty,
+                 std::vector<SliceEntry>* entries, CsrSegment* seg) {
+  const uint32_t count = seg->num_vertices;
+  entries->clear();
+  size_t clean_edges = 0;
+  size_t clean_dirs = 0;
+  size_t dirty_dirs = 0;
+  size_t rederived = 0;
+  for (uint32_t l = 0; l < count; ++l) {
+    if (!is_dirty(l)) {
+      const std::vector<uint32_t>& offsets = prev->*side.offsets;
+      const std::vector<uint32_t>& dir_offsets = prev->*side.dir_offsets;
+      clean_edges += offsets[l + 1] - offsets[l];
+      clean_dirs += dir_offsets[l + 1] - dir_offsets[l];
+      continue;
+    }
+    const size_t begin = entries->size();
+    DeriveRow(g, side.out, seg->first_vertex + l, entries);
+    for (size_t i = begin; i < entries->size(); ++i) {
+      if (i == begin || (*entries)[i].type != (*entries)[i - 1].type) {
+        ++dirty_dirs;
+      }
+    }
+    ++rederived;
+  }
+
+  std::vector<uint32_t>& offsets = seg->*side.offsets;
+  std::vector<VertexId>& nbrs = seg->*side.nbrs;
+  std::vector<EdgeId>& edge_ids = seg->*side.edge_ids;
+  std::vector<uint32_t>& dir_offsets = seg->*side.dir_offsets;
+  std::vector<CsrSegment::TypeDirEntry>& dirs = seg->*side.dirs;
+  const size_t num_edges = clean_edges + entries->size();
+  offsets.reserve(count + 1);
+  dir_offsets.reserve(count + 1);
+  ReservePages(nbrs, num_edges);
+  ReservePages(edge_ids, num_edges);
+  ReservePages(dirs, clean_dirs + dirty_dirs);
+  offsets.push_back(0);
+  dir_offsets.push_back(0);
+
+  size_t next = 0;  // cursor into `entries`
+  for (uint32_t l = 0; l < count;) {
+    if (!is_dirty(l)) {
+      uint32_t end = l + 1;
+      while (end < count && !is_dirty(end)) ++end;
+      const std::vector<uint32_t>& p_offsets = prev->*side.offsets;
+      const std::vector<uint32_t>& p_dir_offsets = prev->*side.dir_offsets;
+      const std::vector<CsrSegment::TypeDirEntry>& p_dirs = prev->*side.dirs;
+      const uint32_t from = p_offsets[l];
+      const uint32_t to = p_offsets[end];
+      // Unsigned wrap-around makes the shift work in both directions.
+      const uint32_t shift = static_cast<uint32_t>(nbrs.size()) - from;
+      const uint32_t dir_shift =
+          static_cast<uint32_t>(dirs.size()) - p_dir_offsets[l];
+      const auto copy = [&](const auto& src, auto& dst) {
+        dst.insert(dst.end(), src.begin() + static_cast<ptrdiff_t>(from),
+                   src.begin() + static_cast<ptrdiff_t>(to));
+      };
+      copy(prev->*side.nbrs, nbrs);
+      copy(prev->*side.edge_ids, edge_ids);
+      for (uint32_t d = p_dir_offsets[l]; d < p_dir_offsets[end]; ++d) {
+        dirs.push_back(
+            CsrSegment::TypeDirEntry{p_dirs[d].type, p_dirs[d].begin + shift});
+      }
+      for (uint32_t r = l; r < end; ++r) {
+        offsets.push_back(p_offsets[r + 1] + shift);
+        dir_offsets.push_back(p_dir_offsets[r + 1] + dir_shift);
+      }
+      l = end;
+      continue;
+    }
+    // A re-derived row holds one entry per live adjacent edge.
+    const VertexId v = seg->first_vertex + l;
+    const size_t row_end =
+        next + (side.out ? g.OutEdges(v) : g.InEdges(v)).size();
+    for (size_t i = next; i < row_end; ++i) {
+      const SliceEntry& ent = (*entries)[i];
+      if (i == next || ent.type != (*entries)[i - 1].type) {
+        dirs.push_back(CsrSegment::TypeDirEntry{
+            ent.type, static_cast<uint32_t>(nbrs.size())});
+      }
+      nbrs.push_back(ent.nbr);
+      edge_ids.push_back(ent.id);
+    }
+    next = row_end;
+    offsets.push_back(static_cast<uint32_t>(nbrs.size()));
+    dir_offsets.push_back(static_cast<uint32_t>(dirs.size()));
+    ++l;
+  }
+  return rederived;
+}
+
 }  // namespace
 
 size_t CsrSegment::ByteSize() const {
   return VectorBytes(out_offsets) + VectorBytes(out_targets) +
-         VectorBytes(out_edge_types) + VectorBytes(out_edge_ids) +
+         VectorBytes(out_edge_ids) +
          VectorBytes(in_offsets) + VectorBytes(in_sources) +
          VectorBytes(in_edge_ids) + VectorBytes(vertex_types) +
          VectorBytes(out_type_dir_offsets) + VectorBytes(out_type_dirs) +
          VectorBytes(in_type_dir_offsets) + VectorBytes(in_type_dirs);
 }
 
-CsrSegmentPtr CsrGraph::BuildSegment(const PropertyGraph& g, size_t seg_index) {
+CsrSegmentPtr CsrGraph::BuildSegment(const PropertyGraph& g, size_t seg_index,
+                                     const CsrSegment* prev,
+                                     const uint8_t* dirty,
+                                     size_t* rows_rederived) {
   auto owned = std::make_shared<CsrSegment>();
   CsrSegment& seg = *owned;
   const size_t n = g.NumVertices();
@@ -35,79 +205,26 @@ CsrSegmentPtr CsrGraph::BuildSegment(const PropertyGraph& g, size_t seg_index) {
       std::min<size_t>(n - first, kCsrSegmentVertices));
   seg.first_vertex = first;
   seg.num_vertices = count;
-  seg.vertex_types.resize(count);
+  seg.vertex_types.reserve(count);
   for (uint32_t l = 0; l < count; ++l) {
-    seg.vertex_types[l] = g.VertexType(first + l);
+    seg.vertex_types.push_back(g.VertexType(first + l));
   }
-
-  // One slice entry: the canonical per-vertex order is
-  // (edge type, neighbor, edge id) — grouped by type so a typed
-  // expansion is one contiguous slice, sorted by neighbor within the
-  // type so filter edges (cycle closings) resolve by binary search,
-  // base insertion order surviving within (type, neighbor) because edge
-  // ids are distinct and ascend in insertion order.
-  struct Entry {
-    EdgeTypeId type;
-    VertexId nbr;
-    EdgeId id;
+  // Rows at or past `kept` did not exist in `prev`; they are always
+  // derived from the graph.
+  const uint32_t kept =
+      prev != nullptr && prev->first_vertex == first &&
+              prev->num_vertices <= count
+          ? prev->num_vertices
+          : 0;
+  auto is_dirty = [&](uint32_t l) {
+    return l >= kept || (dirty != nullptr && dirty[l] != 0);
   };
-  std::vector<Entry> entries;
-  auto build_side = [&](bool out_side, std::vector<uint64_t>& offsets,
-                        std::vector<VertexId>& neighbors,
-                        std::vector<EdgeTypeId>* types,
-                        std::vector<EdgeId>& edge_ids,
-                        std::vector<uint64_t>& dir_offsets,
-                        std::vector<CsrSegment::TypeDirEntry>& dirs) {
-    offsets.assign(count + 1, 0);
-    dir_offsets.assign(count + 1, 0);
-    for (uint32_t l = 0; l < count; ++l) {
-      const VertexId v = first + l;
-      // Live edges only; dead vertices have empty adjacency, so they
-      // keep (empty) rows and base ids stay valid as CSR indices.
-      const std::vector<EdgeId>& ids = out_side ? g.OutEdges(v) : g.InEdges(v);
-      entries.clear();
-      entries.reserve(ids.size());
-      for (EdgeId e : ids) {
-        const EdgeRecord& rec = g.Edge(e);
-        entries.push_back(Entry{rec.type, out_side ? rec.target : rec.source,
-                                e});
-      }
-      bool sorted = true;
-      for (size_t i = 1; i < entries.size(); ++i) {
-        if (std::tie(entries[i].type, entries[i].nbr, entries[i].id) <
-            std::tie(entries[i - 1].type, entries[i - 1].nbr,
-                     entries[i - 1].id)) {
-          sorted = false;
-          break;
-        }
-      }
-      if (!sorted) {
-        std::sort(entries.begin(), entries.end(),
-                  [](const Entry& a, const Entry& b) {
-                    return std::tie(a.type, a.nbr, a.id) <
-                           std::tie(b.type, b.nbr, b.id);
-                  });
-      }
-      for (size_t i = 0; i < entries.size(); ++i) {
-        const Entry& ent = entries[i];
-        if (i == 0 || ent.type != entries[i - 1].type) {
-          dirs.push_back(CsrSegment::TypeDirEntry{
-              ent.type, static_cast<uint64_t>(neighbors.size())});
-          ++dir_offsets[l + 1];
-        }
-        neighbors.push_back(ent.nbr);
-        if (types != nullptr) types->push_back(ent.type);
-        edge_ids.push_back(ent.id);
-      }
-      offsets[l + 1] = neighbors.size();
-    }
-    for (uint32_t l = 0; l < count; ++l) dir_offsets[l + 1] += dir_offsets[l];
-  };
-  build_side(/*out_side=*/true, seg.out_offsets, seg.out_targets,
-             &seg.out_edge_types, seg.out_edge_ids, seg.out_type_dir_offsets,
-             seg.out_type_dirs);
-  build_side(/*out_side=*/false, seg.in_offsets, seg.in_sources, nullptr,
-             seg.in_edge_ids, seg.in_type_dir_offsets, seg.in_type_dirs);
+  std::vector<SliceEntry> entries;
+  size_t rederived = 0;
+  for (const SideFields& side : {kOutSide, kInSide}) {
+    rederived += BuildSide(g, side, prev, is_dirty, &entries, &seg);
+  }
+  if (rows_rederived != nullptr) *rows_rederived = rederived;
   return owned;
 }
 
@@ -154,16 +271,17 @@ CsrGraph CsrGraph::PatchedFrom(const CsrGraph& prev, const PropertyGraph& g,
     CsrGraph built = Build(g);
     stats.total_segments = built.num_segments();
     stats.segments_copied = built.num_segments();
+    stats.rows_rederived = 2 * n;
     for (const CsrSegmentPtr& s : built.segments_) {
       stats.bytes_copied += s->ByteSize();
     }
     return built;
   };
 
-  // Dirty pass: a vertex's slice must be re-derived (and therefore its
-  // whole segment rebuilt) when an edge left or entered it since
-  // `prev`. Vertices appended since `prev` live in segments at or past
-  // the old tail, which rebuild regardless. Tombstoned records stay
+  // Dirty pass: a vertex's slice must be re-derived (and its segment
+  // produced anew) when an edge left or entered it since `prev`.
+  // Vertices appended since `prev` are re-derived regardless: they sit
+  // past the end of their segment in `prev`. Tombstoned records stay
   // readable, which is all this needs — an edge inserted *and* removed
   // within the window (id >= first_new, now dead) never reached `prev`
   // and is simply absent from the re-derived segments.
@@ -190,10 +308,6 @@ CsrGraph CsrGraph::PatchedFrom(const CsrGraph& prev, const PropertyGraph& g,
     mark(rec.target);
   }
   stats.dirty_vertices = dirty_old + (n - n_prev);
-  // The fallback guard stays on the *vertex* dirty fraction — the
-  // long-standing contract callers tune — while the segment counts
-  // below report what a patch actually cost so the catalog's auto-tuner
-  // can move the effective threshold from observed behavior.
   if (n == 0 || n < n_prev ||
       static_cast<double>(stats.dirty_vertices) >
           options.max_dirty_fraction * static_cast<double>(n)) {
@@ -211,12 +325,20 @@ CsrGraph CsrGraph::PatchedFrom(const CsrGraph& prev, const PropertyGraph& g,
   csr.segments_.reserve(num_segs);
   stats.total_segments = num_segs;
   for (size_t s = 0; s < num_segs; ++s) {
-    if (s < prev.segments_.size() && seg_dirty[s] == 0) {
+    const CsrSegment* old =
+        s < prev.segments_.size() ? prev.segments_[s].get() : nullptr;
+    if (old != nullptr && seg_dirty[s] == 0) {
       // Clean: share the previous generation's segment by refcount.
       csr.segments_.push_back(prev.segments_[s]);
       ++stats.segments_shared;
     } else {
-      csr.segments_.push_back(BuildSegment(g, s));
+      // `dirty` covers the old segment's rows: old->num_vertices ends at
+      // or before n_prev.
+      size_t rows = 0;
+      csr.segments_.push_back(BuildSegment(
+          g, s, old, old != nullptr ? dirty.data() + old->first_vertex : nullptr,
+          &rows));
+      stats.rows_rederived += rows;
       ++stats.segments_copied;
       stats.bytes_copied += csr.segments_.back()->ByteSize();
     }

@@ -23,12 +23,15 @@
 /// **Segmented storage.** The vertex id space is cut into fixed-size
 /// ranges of `kCsrSegmentVertices` ids; each range's slices, lineage and
 /// type directories live in one immutable `CsrSegment` held by
-/// `shared_ptr`. `PatchedFrom` rebuilds only the segments containing
-/// vertices incident to the delta and *shares* every clean segment with
-/// the previous generation by refcount — patch cost is O(dirty
-/// segments), independent of |E|, where the former monolithic layout
-/// memcpy'd ~|E| bytes of clean runs per patch. Both `Build` and
-/// `PatchedFrom` produce each segment through the same `BuildSegment`
+/// `shared_ptr`. `PatchedFrom` produces a new segment only where a
+/// vertex incident to the delta lives and *shares* every clean segment
+/// with the previous generation by refcount. Inside a produced segment
+/// the work is vertex-granular too: clean rows are copied from the
+/// previous segment in maximal runs (their offsets and type-directory
+/// `begin`s rebased by one constant per run), and only dirty or
+/// appended rows are re-derived from the graph, by the same per-row
+/// code a fresh build runs. `Build`, `PatchedFrom` and the sharded
+/// segment store all produce segments through that one `BuildSegment`
 /// routine, so a patched snapshot is bit-identical to a fresh build by
 /// construction. The segment boundaries double as the engine's shard
 /// boundaries (`ShardOfVertex`).
@@ -77,9 +80,7 @@ struct CsrPatchOptions {
   /// below this fraction; above it re-deriving dirty slices approaches
   /// the cost of a full rebuild (which also has better locality), so
   /// `PatchedFrom` falls back to `Build`. Set to 0 to disable patching
-  /// entirely (every snapshot is a full rebuild — the PR-3 behavior).
-  /// The catalog can auto-tune its effective value at runtime from the
-  /// observed segments-copied telemetry (`ViewCatalog`).
+  /// entirely (every snapshot is a full rebuild).
   double max_dirty_fraction = 0.20;
 
   bool enabled() const { return max_dirty_fraction > 0.0; }
@@ -90,18 +91,22 @@ struct CsrPatchStats {
   /// Pre-existing vertices whose out- or in-slice had to be re-derived,
   /// plus vertices appended since the previous snapshot.
   size_t dirty_vertices = 0;
-  /// Segments re-derived from the graph (they contained dirty or
-  /// appended vertices). On the full-rebuild path this counts every
-  /// segment — a rebuild copies everything.
+  /// Segments produced anew (they contained dirty or appended
+  /// vertices). On the full-rebuild path this counts every segment — a
+  /// rebuild copies everything.
   size_t segments_copied = 0;
   /// Segments shared with the previous snapshot by refcount (zero bytes
   /// copied for them).
   size_t segments_shared = 0;
   /// Total segments in the produced snapshot.
   size_t total_segments = 0;
-  /// Heap bytes of the re-derived segments (the actual copy cost of the
+  /// Heap bytes of the produced segments (the actual copy cost of the
   /// patch; shared segments contribute nothing).
   size_t bytes_copied = 0;
+  /// Vertex rows re-derived from the graph rather than copied, counted
+  /// once per side (out and in): a 1-edge delta re-derives at most 2
+  /// rows per side, a full rebuild 2 |V|.
+  size_t rows_rederived = 0;
   /// True when the dirty fraction exceeded the threshold and the result
   /// came from a full `Build` instead of the patch path.
   bool full_rebuild = false;
@@ -132,33 +137,37 @@ struct EdgeSpan {
 
 /// \brief One immutable segment: the CSR rows of vertices
 /// `[first_vertex, first_vertex + num_vertices)`. All offsets are local
-/// to the segment's own arrays. Built once, never mutated afterwards —
-/// generations share clean segments by `shared_ptr`.
+/// to the segment's own arrays and 32-bit: edge ids are 32-bit, so no
+/// segment holds more slots than that. Built once, never mutated
+/// afterwards — generations share clean segments by `shared_ptr`.
 struct CsrSegment {
   /// One entry of a vertex's type directory: edges of `type` occupy
-  /// [begin, next entry's begin or the vertex's slice end).
+  /// [begin, next entry's begin or the vertex's slice end). The
+  /// directory is also how an out-slot's edge type is found, so no
+  /// per-edge type array is kept.
   struct TypeDirEntry {
     EdgeTypeId type;
-    uint64_t begin;  ///< Index into this segment's neighbor arrays.
+    uint32_t begin;  ///< Index into this segment's neighbor arrays.
   };
 
   VertexId first_vertex = 0;
   uint32_t num_vertices = 0;  ///< ≤ kCsrSegmentVertices (tail may be short).
 
-  std::vector<uint64_t> out_offsets;  // num_vertices + 1
+  /// Arrays are sized from a counting pass, with no growth slack; the
+  /// edge-length ones are rounded up to whole 4 KiB pages.
+  std::vector<uint32_t> out_offsets;  // num_vertices + 1
   std::vector<VertexId> out_targets;  // grouped by edge type per vertex
-  std::vector<EdgeTypeId> out_edge_types;
   std::vector<EdgeId> out_edge_ids;  // base-graph lineage, parallel
-  std::vector<uint64_t> in_offsets;
+  std::vector<uint32_t> in_offsets;
   std::vector<VertexId> in_sources;
   std::vector<EdgeId> in_edge_ids;
   std::vector<VertexTypeId> vertex_types;  // num_vertices
   /// Per-vertex type directories (CSR-of-CSR): local vertex l's
   /// directory is `*_type_dirs[*_type_dir_offsets[l] ..
   /// *_type_dir_offsets[l+1])`, one entry per distinct incident type.
-  std::vector<uint64_t> out_type_dir_offsets;  // num_vertices + 1
+  std::vector<uint32_t> out_type_dir_offsets;  // num_vertices + 1
   std::vector<TypeDirEntry> out_type_dirs;
-  std::vector<uint64_t> in_type_dir_offsets;
+  std::vector<uint32_t> in_type_dir_offsets;
   std::vector<TypeDirEntry> in_type_dirs;
 
   /// Heap bytes held by this segment's arrays (copy-cost telemetry).
@@ -175,13 +184,26 @@ class CsrGraph {
   /// Freezes the topology of `g`. O(|V| + |E|).
   static CsrGraph Build(const PropertyGraph& g);
 
-  /// Builds the single segment `seg` (vertex ids
-  /// `[seg << kCsrSegmentShift, ...)`) from `g`'s current adjacency.
-  /// `Build` and `PatchedFrom` both produce segments through this
-  /// routine, so patched snapshots equal fresh builds bit-for-bit; the
-  /// per-shard segment store uses it to rebuild exactly the segments a
-  /// shard dirtied.
-  static CsrSegmentPtr BuildSegment(const PropertyGraph& g, size_t seg);
+  /// Produces the single segment `seg` (vertex ids
+  /// `[seg << kCsrSegmentShift, ...)`) of `g`'s current topology — the
+  /// one segment routine behind `Build`, `PatchedFrom` and the per-shard
+  /// segment store.
+  ///
+  /// Without `prev` every row is derived from `g`. With `prev` (the same
+  /// segment of an earlier snapshot of `g`) clean rows are copied from
+  /// it in maximal runs, offsets and type-directory `begin`s rebased by
+  /// one constant per run, and only dirty rows are re-derived from `g`
+  /// by the per-row code a fresh build runs: local row `l <
+  /// prev->num_vertices` is dirty when `dirty[l] != 0` (a null `dirty`
+  /// marks none), and rows appended since `prev` always are. The result
+  /// equals the no-`prev` build bit for bit as long as `dirty` covers
+  /// every row whose adjacency changed. Arrays are sized from a counting
+  /// pass. `*rows_rederived`, when given, receives the rows re-derived,
+  /// counted once per side.
+  static CsrSegmentPtr BuildSegment(const PropertyGraph& g, size_t seg,
+                                    const CsrSegment* prev = nullptr,
+                                    const uint8_t* dirty = nullptr,
+                                    size_t* rows_rederived = nullptr);
 
   /// Assembles a snapshot from already-built segments (the per-shard
   /// segment store's publish path). `segments[i]` must cover vertex ids
@@ -191,21 +213,21 @@ class CsrGraph {
                                size_t num_vertices, EdgeId edge_id_space);
 
   /// Derives the snapshot of `g` from `prev`, a snapshot of an earlier
-  /// state of the same graph, rebuilding only the *segments* containing
-  /// vertices incident to what changed: `removed_edges` must list
-  /// exactly the edge ids tombstoned in `g` since `prev` was built
-  /// (their records stay readable), and every edge id appended since is
-  /// discovered from the id space (`prev.edge_id_space()` up to
-  /// `g.NumEdges()`), so insertions need no explicit list. Clean
-  /// segments are shared with `prev` by refcount (zero copy); dirty
-  /// segments are re-derived from `g`'s adjacency via `BuildSegment`,
-  /// so the result is indistinguishable from `Build(g)`. Copy cost is
-  /// O(dirty segments), independent of |E|.
+  /// state of the same graph. A vertex is dirty when an edge left or
+  /// entered one of its slices: `removed_edges` must list exactly the
+  /// edge ids tombstoned in `g` since `prev` was built (their records
+  /// stay readable), and every edge id appended since is discovered
+  /// from the id space (`prev.edge_id_space()` up to `g.NumEdges()`),
+  /// so insertions need no explicit list. Segments without a dirty or
+  /// appended vertex are shared with `prev` by refcount (zero copy).
+  /// The others go through `BuildSegment` with the per-vertex dirty
+  /// set: clean rows copied from `prev`, dirty rows re-derived by the
+  /// shared row code, so the result is indistinguishable from
+  /// `Build(g)`. Re-derivation cost is O(dirty vertices' degree); copy
+  /// cost is O(bytes of the dirty segments), independent of |E|.
   ///
-  /// Falls back to `Build(g)` automatically when the dirty *vertex*
-  /// fraction exceeds `options.max_dirty_fraction` (reported via
-  /// `stats->full_rebuild`); the segment-level copy/share counts in
-  /// `stats` let callers tune that threshold from observed behavior.
+  /// Falls back to `Build(g)` when the dirty *vertex* fraction exceeds
+  /// `options.max_dirty_fraction` (reported via `stats->full_rebuild`).
   static CsrGraph PatchedFrom(const CsrGraph& prev, const PropertyGraph& g,
                               const std::vector<EdgeId>& removed_edges,
                               const CsrPatchOptions& options = {},
@@ -299,10 +321,18 @@ class CsrGraph {
     return Seg(v).vertex_types[v & kCsrSegmentMask];
   }
 
-  /// Edge type of the i-th out-edge of v (parallel to OutNeighbors).
+  /// Edge type of the i-th out-edge of v (parallel to OutNeighbors):
+  /// the type of the last directory entry starting at or before it.
   EdgeTypeId OutEdgeType(VertexId v, size_t i) const {
     const CsrSegment& s = Seg(v);
-    return s.out_edge_types[s.out_offsets[v & kCsrSegmentMask] + i];
+    const uint32_t l = v & kCsrSegmentMask;
+    const uint32_t slot = s.out_offsets[l] + static_cast<uint32_t>(i);
+    uint32_t d = s.out_type_dir_offsets[l];
+    while (d + 1 < s.out_type_dir_offsets[l + 1] &&
+           s.out_type_dirs[d + 1].begin <= slot) {
+      ++d;
+    }
+    return s.out_type_dirs[d].type;
   }
 
   /// Base-graph edge id of the i-th out-edge of v (parallel to
@@ -317,17 +347,17 @@ class CsrGraph {
     return *segments_[v >> kCsrSegmentShift];
   }
 
-  static EdgeSpan TypedSlice(const std::vector<uint64_t>& dir_offsets,
+  static EdgeSpan TypedSlice(const std::vector<uint32_t>& dir_offsets,
                              const std::vector<CsrSegment::TypeDirEntry>& dirs,
-                             const std::vector<uint64_t>& offsets,
+                             const std::vector<uint32_t>& offsets,
                              const std::vector<VertexId>& vertices,
                              const std::vector<EdgeId>& edge_ids, uint32_t l,
                              EdgeTypeId type) {
-    const uint64_t dir_end = dir_offsets[l + 1];
-    for (uint64_t d = dir_offsets[l]; d < dir_end; ++d) {
+    const uint32_t dir_end = dir_offsets[l + 1];
+    for (uint32_t d = dir_offsets[l]; d < dir_end; ++d) {
       if (dirs[d].type != type) continue;
-      uint64_t begin = dirs[d].begin;
-      uint64_t end = d + 1 < dir_end ? dirs[d + 1].begin : offsets[l + 1];
+      uint32_t begin = dirs[d].begin;
+      uint32_t end = d + 1 < dir_end ? dirs[d + 1].begin : offsets[l + 1];
       return {vertices.data() + begin, edge_ids.data() + begin, end - begin};
     }
     return {};

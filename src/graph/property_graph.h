@@ -19,6 +19,7 @@
 #define KASKADE_GRAPH_PROPERTY_GRAPH_H_
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -250,8 +251,11 @@ class PropertyGraph {
   GraphSchema schema_;
   std::vector<VertexTypeId> vertex_types_;
   std::vector<PropertyMap> vertex_props_;
-  std::vector<EdgeRecord> edges_;
-  std::vector<PropertyMap> edge_props_;
+  /// Edge ids only grow (tombstones keep theirs), so the per-edge arrays
+  /// grow in fixed blocks: no doubling copy, no freed old buffer left
+  /// resident in the heap.
+  std::deque<EdgeRecord> edges_;
+  std::deque<PropertyMap> edge_props_;
   std::vector<std::vector<EdgeId>> out_edges_;
   std::vector<std::vector<EdgeId>> in_edges_;
   std::vector<size_t> vertex_type_counts_;

@@ -5,8 +5,11 @@
 #ifndef KASKADE_GRAPH_PROPERTY_VALUE_H_
 #define KASKADE_GRAPH_PROPERTY_VALUE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -71,10 +74,26 @@ class PropertyValue {
 
 /// \brief A flat list of key/value pairs; small maps dominate so linear
 /// scan beats hashing.
+///
+/// One pointer wide: the entries live in a single heap block holding
+/// their count, and an empty map holds no block. Graphs keep one map
+/// per vertex and per edge id, most edges carry no properties, and
+/// tombstoned view edges release theirs.
 class PropertyMap {
  public:
+  using Entry = std::pair<std::string, PropertyValue>;
+
   PropertyMap() = default;
-  PropertyMap(std::initializer_list<std::pair<std::string, PropertyValue>> init);
+  PropertyMap(std::initializer_list<Entry> init);
+  PropertyMap(const PropertyMap& other);
+  PropertyMap(PropertyMap&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)) {}
+  PropertyMap& operator=(const PropertyMap& other);
+  PropertyMap& operator=(PropertyMap&& other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~PropertyMap() { Release(); }
 
   /// Inserts or overwrites `key`.
   void Set(const std::string& key, PropertyValue value);
@@ -86,16 +105,32 @@ class PropertyMap {
   PropertyValue GetOrNull(const std::string& key) const;
 
   bool Contains(const std::string& key) const { return Find(key) != nullptr; }
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  size_t size() const { return block_ == nullptr ? 0 : block_->size; }
+  bool empty() const { return size() == 0; }
 
-  auto begin() const { return entries_.begin(); }
-  auto end() const { return entries_.end(); }
+  const Entry* begin() const { return entries(); }
+  const Entry* end() const { return entries() + size(); }
 
-  bool operator==(const PropertyMap& other) const = default;
+  bool operator==(const PropertyMap& other) const {
+    return std::equal(begin(), end(), other.begin(), other.end());
+  }
 
  private:
-  std::vector<std::pair<std::string, PropertyValue>> entries_;
+  /// Header of the heap block; `size` entries follow it.
+  struct Block {
+    size_t size;
+  };
+  static_assert(alignof(Entry) <= alignof(Block));
+
+  Entry* entries() const {
+    return block_ == nullptr ? nullptr : reinterpret_cast<Entry*>(block_ + 1);
+  }
+  /// Raw block with room for `n` entries; `size` is left to the caller.
+  static Block* Allocate(size_t n);
+  /// Destroys the entries and frees the block.
+  void Release();
+
+  Block* block_ = nullptr;
 };
 
 }  // namespace kaskade::graph

@@ -27,6 +27,7 @@
 #include "core/engine.h"
 #include "core/maintenance.h"
 #include "core/materializer.h"
+#include "core/segment_store.h"
 #include "csr_test_util.h"
 #include "graph/csr.h"
 #include "graph/delta.h"
@@ -224,17 +225,18 @@ struct MutationState {
 };
 
 /// Seeds `engine`'s base graph population into `state` (ids are dense,
-/// so the test can reconstruct them from counts).
-void SeedGraph(PropertyGraph* g, MutationState* state) {
+/// so the test can reconstruct them from counts). `scale` multiplies
+/// every count: 100 spans three CSR segments, the last one partial.
+void SeedGraph(PropertyGraph* g, MutationState* state, size_t scale = 1) {
   const char* kTypes[4] = {"Job", "File", "Task", "User"};
   const size_t kCounts[4] = {8, 10, 5, 3};
   for (int t = 0; t < 4; ++t) {
-    for (size_t i = 0; i < kCounts[t]; ++i) {
+    for (size_t i = 0; i < kCounts[t] * scale; ++i) {
       state->by_type[t].push_back(
           g->AddVertex(kTypes[t], state->RandomVertexProps()).value());
     }
   }
-  for (int i = 0; i < 20; ++i) {
+  for (size_t i = 0; i < 20 * scale; ++i) {
     GraphDelta::EdgeInsert ins = state->RandomEdgeInsert();
     state->live_edges.push_back(
         g->AddEdge(ins.source, ins.target, ins.type_name, ins.properties)
@@ -968,6 +970,133 @@ TEST(SnapshotPatchFallbackTest, DirtyFractionThresholdForcesFullRebuild) {
       prev, g, big, graph::CsrPatchOptions{1.0}, &relaxed_stats);
   EXPECT_FALSE(relaxed_stats.full_rebuild);
   testutil::ExpectCsrEqual(patched, graph::CsrGraph::Build(g), g, "patched");
+}
+
+// ---------------------------------------------------------------------------
+// Vertex-granular splice differential: on a graph spanning three CSR
+// segments (the last one partial), a forced-patch PatchedFrom chain and
+// a sharded SegmentStore must equal a fresh Build — raw segment arrays
+// and type-directory begins included — after every window of one or two
+// deltas. Each window mixes a uniform batch that dirties every segment,
+// inserts at a hub vertex, appends into the straddling segment, an edge
+// inserted and removed within the window, and now and then a vertex
+// stripped of its edges and removed. Only dirty rows are re-derived.
+// ---------------------------------------------------------------------------
+
+TEST_P(DifferentialTest, SplicedSegmentsMatchFreshBuildsAtEveryPrefix) {
+  auto [seed, skewed] = GetParam();
+  MutationState state(seed + 9100, skewed);
+  PropertyGraph g(DeltaSchema());
+  SeedGraph(&g, &state, /*scale=*/100);
+  ASSERT_EQ(graph::CsrSegmentCount(g.NumVertices()), 3u);
+
+  graph::CsrPatchOptions always_patch;
+  always_patch.max_dirty_fraction = 1.0;
+  graph::CsrGraph patched = graph::CsrGraph::Build(g);
+  SegmentStore store(&g, /*shards=*/2);
+  uint64_t version = 1;
+  ASSERT_NE(store.Snapshot(version), nullptr);
+  const VertexId hub = state.by_type[0][0];
+
+  auto apply = [&](GraphDelta& delta) -> std::vector<EdgeId> {
+    delta.Coalesce();
+    auto applied = graph::ApplyDeltaToGraph(&g, delta);
+    if (!applied.ok()) {
+      ADD_FAILURE() << applied.status();
+      return {};
+    }
+    for (EdgeId e : delta.edge_removals) state.ForgetEdge(e);
+    for (EdgeId e : applied->new_edges) state.live_edges.push_back(e);
+    for (VertexId v : applied->new_vertices) state.by_type[0].push_back(v);
+    store.NoteDelta(std::make_shared<const graph::DeltaFootprint>(delta));
+    return applied->new_edges;
+  };
+
+  constexpr int kWindows = 24;
+  for (int w = 0; w < kWindows; ++w) {
+    const std::string context = "window " + std::to_string(w) + " (seed " +
+                                std::to_string(seed) +
+                                (skewed ? ", skewed)" : ", uniform)");
+    GraphDelta first;
+    for (int i = 0; i < 12; ++i) {
+      if (i % 3 == 2) {
+        first.RemoveEdge(state.PickLiveEdge());
+      } else {
+        first.edge_inserts.push_back(state.RandomEdgeInsert());
+      }
+    }
+    const VertexId file =
+        state.by_type[1][state.PickIndex(state.by_type[1].size())];
+    first.AddEdge(hub, file, "WRITES_TO", state.RandomVertexProps());
+    if (w % 3 == 0) {
+      first.AddVertex("Job", state.RandomVertexProps());
+      first.AddEdge(static_cast<VertexId>(g.NumVertices()), file, "WRITES_TO",
+                    state.RandomVertexProps());
+    }
+    const std::vector<EdgeId> inserted = apply(first);
+    std::vector<EdgeId> removals = first.edge_removals;
+    if (::testing::Test::HasFailure()) return;
+
+    if (w % 2 == 1) {
+      // Second delta of the window: drop an edge the first one inserted
+      // (it never reached the previous snapshot) and, every fourth
+      // window, strip a Task of its edges and remove the vertex.
+      GraphDelta second;
+      second.RemoveEdge(inserted[w % inserted.size()]);
+      VertexId doomed = graph::kInvalidId;
+      if (w % 4 == 3 && state.by_type[2].size() > 1) {
+        doomed = state.by_type[2].back();
+        state.by_type[2].pop_back();
+        for (EdgeId e : g.OutEdges(doomed)) second.RemoveEdge(e);
+        for (EdgeId e : g.InEdges(doomed)) second.RemoveEdge(e);
+      }
+      apply(second);
+      removals.insert(removals.end(), second.edge_removals.begin(),
+                      second.edge_removals.end());
+      if (::testing::Test::HasFailure()) return;
+      if (doomed != graph::kInvalidId) {
+        ASSERT_TRUE(g.RemoveVertex(doomed).ok()) << context;
+      }
+    }
+
+    const graph::CsrGraph fresh = graph::CsrGraph::Build(g);
+    graph::CsrPatchStats stats;
+    patched = graph::CsrGraph::PatchedFrom(patched, g, removals, always_patch,
+                                           &stats);
+    ASSERT_FALSE(stats.full_rebuild) << context;
+    testutil::ExpectCsrEqual(patched, fresh, g, "patched " + context);
+    if (::testing::Test::HasFatalFailure()) return;
+    // Only dirty and appended rows are re-derived, each on both sides.
+    EXPECT_GT(stats.dirty_vertices, 0u) << context;
+    EXPECT_EQ(stats.rows_rederived, 2 * stats.dirty_vertices) << context;
+
+    SegmentStore::Outcome outcome;
+    auto snap = store.Snapshot(++version, &outcome);
+    ASSERT_NE(snap, nullptr) << context;
+    EXPECT_NE(outcome, SegmentStore::Outcome::kHit) << context;
+    testutil::ExpectCsrEqual(*snap, fresh, g, "store " + context);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(SplicePatchTest, OneEdgeDeltaRederivesTwoRowsPerSide) {
+  MutationState state(5, /*skew=*/false);
+  PropertyGraph g(DeltaSchema());
+  SeedGraph(&g, &state, /*scale=*/100);
+  const graph::CsrGraph prev = graph::CsrGraph::Build(g);
+
+  GraphDelta delta;
+  delta.AddEdge(state.by_type[0].front(), state.by_type[1].back(),
+                "WRITES_TO", {});
+  ASSERT_TRUE(graph::ApplyDeltaToGraph(&g, delta).ok());
+  graph::CsrPatchStats stats;
+  const graph::CsrGraph patched =
+      graph::CsrGraph::PatchedFrom(prev, g, delta, {}, &stats);
+  EXPECT_FALSE(stats.full_rebuild);
+  EXPECT_EQ(stats.dirty_vertices, 2u);
+  EXPECT_LE(stats.rows_rederived, 4u);
+  EXPECT_LE(stats.segments_copied, 2u);
+  testutil::ExpectCsrEqual(patched, graph::CsrGraph::Build(g), g, "1-edge");
 }
 
 // ---------------------------------------------------------------------------

@@ -220,6 +220,29 @@ TEST(PlanCacheTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_EQ(planner.cache_misses(), 4u);
 }
 
+TEST(PlanCacheTest, MissDropsEntriesOfOlderGenerations) {
+  PropertyGraph base = SmallProv();
+  PlannerOptions options;
+  options.cache_shards = 1;
+  Planner planner(options);
+  ViewCatalog catalog(&base);
+
+  const std::string q1 = datasets::AncestorsQueryText("Job", 4);
+  const std::string q2 = datasets::DescendantsQueryText("Job", 4);
+  ASSERT_TRUE(planner.PlanFor(q1, base, catalog).ok());
+  ASSERT_TRUE(planner.PlanFor(q2, base, catalog).ok());
+  EXPECT_EQ(planner.cache_size(), 2u);
+
+  // Lookups key on the current generation, so plans of the old one can
+  // never hit again: the next insert drops them.
+  catalog.NoteBaseGraphChanged();
+  ASSERT_TRUE(planner.PlanFor(q1, base, catalog).ok());
+  EXPECT_EQ(planner.cache_size(), 1u);
+  ASSERT_TRUE(planner.PlanFor(q1, base, catalog).ok());
+  EXPECT_EQ(planner.cache_hits(), 1u);
+  EXPECT_EQ(planner.cache_misses(), 3u);
+}
+
 TEST(PlanCacheTest, RemoveViewFallsBackToRawPlan) {
   Engine engine(SmallProv());
   ASSERT_TRUE(engine.AddMaterializedView(JobConnector()).ok());

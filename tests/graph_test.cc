@@ -83,6 +83,36 @@ TEST(PropertyMapTest, InitializerList) {
   EXPECT_EQ(map.GetOrNull("s"), PropertyValue("v"));
 }
 
+TEST(PropertyMapTest, CopiesAreDeepAndMovesEmptyTheSource) {
+  // One pointer per map: graphs keep one per vertex and per edge id.
+  static_assert(sizeof(PropertyMap) == sizeof(void*));
+  PropertyMap map{{"a", PropertyValue(1)}, {"b", PropertyValue("two")}};
+  PropertyMap copy(map);
+  copy.Set("a", PropertyValue(2));
+  copy.Set("c", PropertyValue(3.5));
+  EXPECT_EQ(map.GetOrNull("a"), PropertyValue(1));
+  EXPECT_FALSE(map.Contains("c"));
+  EXPECT_EQ(copy.size(), 3u);
+
+  // Iteration follows insertion order; equality compares it.
+  std::vector<std::string> keys;
+  for (const auto& [k, v] : copy) keys.push_back(k);
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_FALSE(copy == map);
+  copy = map;
+  EXPECT_TRUE(copy == map);
+  const PropertyMap& alias = copy;
+  copy = alias;  // self-assignment keeps the entries
+  EXPECT_EQ(copy.size(), 2u);
+
+  PropertyMap moved(std::move(copy));
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.GetOrNull("b"), PropertyValue("two"));
+  moved = PropertyMap();
+  EXPECT_TRUE(moved.empty());
+  EXPECT_EQ(moved.begin(), moved.end());
+}
+
 // ---------------------------------------------------------------------------
 // GraphSchema
 // ---------------------------------------------------------------------------

@@ -324,6 +324,39 @@ TEST(ShardingTest, SegmentStoreSnapshotMatchesFreshBuildAtEveryPrefix) {
   EXPECT_EQ(store.writer_acquisitions().size(), 4u);
 }
 
+// A version bump that dirtied nothing — here a view registration —
+// produces no segment, so the sharded refresh reports a hit, as the
+// single-slot path's re-stamp does, and the snapshot stays exact.
+TEST(ShardingTest, VersionBumpWithoutDeltaIsAHit) {
+  EngineOptions opts;
+  opts.shards = 4;
+  Engine engine(MakeShardableGraph(7), opts);
+  const core::ViewCatalog& catalog = engine.catalog();
+  ASSERT_NE(catalog.BaseSnapshot(), nullptr);
+  const size_t patches = catalog.snapshot_patches();
+  const size_t builds = catalog.snapshot_builds();
+  const size_t hits = catalog.snapshot_hits();
+  const uint64_t copied = catalog.patch_segments_copied();
+
+  core::ViewDefinition def;
+  def.kind = core::ViewKind::kKHopConnector;
+  def.k = 2;
+  def.source_type = "Job";
+  def.target_type = "Job";
+  const uint64_t generation = catalog.generation();
+  ASSERT_TRUE(engine.AddMaterializedView(def).ok());
+  ASSERT_GT(catalog.generation(), generation);
+
+  auto snap = catalog.BaseSnapshot();
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(catalog.snapshot_patches(), patches);
+  EXPECT_EQ(catalog.snapshot_builds(), builds);
+  EXPECT_EQ(catalog.snapshot_hits(), hits + 1);
+  EXPECT_EQ(catalog.patch_segments_copied(), copied);
+  testutil::ExpectCsrEqual(*snap, CsrGraph::Build(engine.base_graph()),
+                           engine.base_graph(), "after view registration");
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency (TSan target): readers refreshing disjoint stale shards
 // in parallel, racing on the per-shard writer locks, interleaved with
